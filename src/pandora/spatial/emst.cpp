@@ -1,5 +1,7 @@
 #include "pandora/spatial/emst.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -10,10 +12,31 @@
 #include "pandora/exec/parallel.hpp"
 #include "pandora/exec/sort.hpp"
 #include "pandora/graph/union_find.hpp"
+#include "pandora/obs/metrics.hpp"
 
 namespace pandora::spatial {
 
 namespace {
+
+/// Stale-point queries per `run_chunks` chunk of phase 1b.
+constexpr index_t kQueriesPerChunk = 256;
+
+/// Borůvka shape counters, recorded once per round or per chunk.
+struct EmstMetrics {
+  obs::Counter& rounds;
+  obs::Counter& queries;
+  obs::Counter& reuses;
+  obs::Counter& nodes_visited;
+};
+
+const EmstMetrics& emst_metrics() {
+  static const EmstMetrics metrics{
+      obs::registry().counter("pandora_emst_rounds_total"),
+      obs::registry().counter("pandora_emst_queries_total"),
+      obs::registry().counter("pandora_emst_candidate_reuses_total"),
+      obs::registry().counter("pandora_emst_nodes_visited_total")};
+  return metrics;
+}
 
 /// Shared Borůvka skeleton over the components of a (possibly pre-seeded)
 /// union-find; `use_mreach` selects the metric (core_sq must be the squared
@@ -51,7 +74,11 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
   KdTreeAnnotations notes;
   if (use_mreach) tree.annotate_min_core(exec, core_sq, notes);
 
+  const EmstMetrics& metrics = emst_metrics();
+  const std::span<const index_t> order = tree.tree_order();
+  const int num_chunks = static_cast<int>((n + kQueriesPerChunk - 1) / kQueriesPerChunk);
   while (mst.size() < joins_needed) {
+    metrics.rounds.inc();
     exec::parallel_for(exec, n, [&](size_type p) {
       component[static_cast<std::size_t>(p)] = uf.find(static_cast<index_t>(p));
     });
@@ -89,27 +116,81 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
     // A point's candidate from an earlier round stays *exact* while its
     // partner is still foreign: components only merge, so the foreign set
     // only shrinks, and a shrinking set that still contains the old
-    // lexicographic minimum keeps it.  Stale candidates (partner absorbed)
-    // re-query; in practice only points near the round's merges do, which
-    // turns the n-queries-per-round cost into roughly n total.
+    // lexicographic minimum keeps it.  That reuse alone leaves most points
+    // re-querying: on a 20k-point HaccProxy set at mpts 4, unbounded queries
+    // ran 20000, 20000, 12557, 11484, 10968, 13216 and 18419 per round
+    // (5.3n) and visited 0.64M, 0.72M, 0.54M, 0.64M, 0.79M, 1.17M and 1.46M
+    // nodes: the late rounds, where most points sit in a giant component
+    // and search far for a foreign point, cost the most.  Only the
+    // component's minimum survives the round, so (as in the single-tree GPU
+    // Borůvka of [39]) phase 1a first publishes every still-valid candidate
+    // and phase 1b runs the stale queries against the live `best_weight[c]`
+    // as a shared upper bound.  On the same input nearly every point then
+    // queries in every round (6.9n, since a cut query caches nothing), but
+    // the rounds visit 0.64M, 0.43M, 0.36M, 0.38M, 0.34M, 0.28M and 0.15M
+    // nodes, 2.6M in all instead of 6.0M; round 1, where every component is
+    // a single point and so no other query shares its bound, is now the
+    // largest.
+    //
+    // Exactness: a query cuts a node only when its lower bound is strictly
+    // greater than the bound it loaded, and the bound only decreases, so
+    // every cut node lies strictly above the bound re-read after the query.
+    // A result at or below that re-read value is therefore the exact
+    // (score, index) minimum, ties included; a result above it may not be,
+    // but then its point could never have won the component, so it is
+    // stored as `Neighbor{}` (stale next round) and not published.  Every
+    // point whose exact candidate equals the component's minimum publishes
+    // it, so phase 2 picks the same winner under any thread interleaving.
+    const auto is_fresh = [&](const Neighbor& nb, index_t c) {
+      return nb.index != kNone && component[static_cast<std::size_t>(nb.index)] != c;
+    };
+    // The giant proposes NOTHING — a partial minimum (e.g. over only its
+    // cached members) would not be minimal across its cut and could hook a
+    // wrong edge.  Its slot stays at the +inf sentinel, so phase 2 cannot
+    // match a leftover cached candidate against it either.
     exec::parallel_for(exec, n, [&](size_type pi) {
       const auto p = static_cast<index_t>(pi);
       const index_t c = component[static_cast<std::size_t>(p)];
-      // The giant proposes NOTHING — a partial minimum (e.g. over only its
-      // cached members) would not be minimal across its cut and could hook
-      // a wrong edge.  Its slot stays at the +inf sentinel, so phase 2
-      // cannot match a leftover cached candidate against it either.
-      if (c == passive) return;
-      Neighbor nb = point_best[static_cast<std::size_t>(p)];
-      if (nb.index == kNone || component[static_cast<std::size_t>(nb.index)] == c) {
-        nb = use_mreach ? tree.nearest_other_component_mreach(p, c, component, core_sq, notes)
-                        : tree.nearest_other_component(p, c, component, notes);
-        point_best[static_cast<std::size_t>(p)] = nb;
-      }
-      if (nb.index != kNone)
+      const Neighbor nb = point_best[static_cast<std::size_t>(p)];
+      if (c != passive && is_fresh(nb, c))
         exec::atomic_fetch_min(best_weight[static_cast<std::size_t>(c)],
                                exec::order_preserving_bits(nb.squared_distance));
     });
+    // Stale queries run in tree order so each chunk's queries are spatially
+    // coherent, in small chunks so uneven query costs balance across workers.
+    const auto body = [&](int chunk) {
+      const index_t lo = static_cast<index_t>(chunk) * kQueriesPerChunk;
+      const index_t hi = std::min<index_t>(n, lo + kQueriesPerChunk);
+      std::uint64_t queries = 0, reuses = 0, visited = 0;
+      for (index_t i = lo; i < hi; ++i) {
+        const index_t p = order[static_cast<std::size_t>(i)];
+        const index_t c = component[static_cast<std::size_t>(p)];
+        if (c == passive) continue;
+        Neighbor& cached = point_best[static_cast<std::size_t>(p)];
+        if (is_fresh(cached, c)) {
+          ++reuses;
+          continue;
+        }
+        ++queries;
+        std::uint64_t& bound = best_weight[static_cast<std::size_t>(c)];
+        const Neighbor nb =
+            use_mreach ? tree.nearest_other_component_mreach(p, c, component, core_sq, notes,
+                                                             &bound, &visited)
+                       : tree.nearest_other_component(p, c, component, notes, &bound, &visited);
+        const std::uint64_t bits = exec::order_preserving_bits(nb.squared_distance);
+        if (nb.index != kNone &&
+            bits <= std::atomic_ref<std::uint64_t>(bound).load(std::memory_order_relaxed)) {
+          cached = nb;
+          exec::atomic_fetch_min(bound, bits);
+        } else {
+          cached = Neighbor{};
+        }
+      }
+      metrics.queries.inc(queries);
+      metrics.reuses.inc(reuses);
+      metrics.nodes_visited.inc(visited);
+    };
+    exec.run_chunks(num_chunks, exec.num_threads(), body);
     // Phase 2: among weight ties, the smallest point id wins (exact
     // lexicographic (weight, point) minimum without a 128-bit CAS).
     exec::parallel_for(exec, n, [&](size_type pi) {

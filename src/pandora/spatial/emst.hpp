@@ -15,10 +15,15 @@ namespace pandora::spatial {
 
 /// Euclidean minimum spanning tree via parallel Borůvka over the kd-tree —
 /// the stand-in for the single-tree GPU Borůvka of [39] that the paper's
-/// HDBSCAN* pipeline uses.  Each round every point queries its nearest
+/// HDBSCAN* pipeline uses.  Each round every point needs its nearest
 /// neighbour outside its own component; per-component winners (exact
 /// (distance, point-id) lexicographic minima) hook the components together.
-/// Deterministic under distance ties.
+/// Points whose candidate from an earlier round is still foreign reuse it and
+/// publish it first; the others re-query with their component's live best
+/// weight as a shared upper bound, so a point that cannot win its component
+/// stops searching early.  Deterministic under distance ties and under any
+/// thread interleaving.  Rounds, queries, reuses and node visits are counted
+/// in `obs::registry()` (`pandora_emst_*_total`).
 ///
 /// The tree is read-only: per-round component annotations live in
 /// query-local `KdTreeAnnotations`, so one (possibly cached and shared) tree

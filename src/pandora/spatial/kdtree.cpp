@@ -1,11 +1,13 @@
 #include "pandora/spatial/kdtree.hpp"
 
+#include <atomic>
 #include <bit>
 #include <numeric>
 
 #include "pandora/common/expect.hpp"
 #include "pandora/exec/fingerprint.hpp"
 #include "pandora/exec/parallel.hpp"
+#include "pandora/exec/sort.hpp"
 #include "pandora/spatial/distance.hpp"
 
 namespace pandora::spatial {
@@ -293,21 +295,31 @@ struct EuclideanScore {
 }  // namespace
 
 template <class Score>
-void KdTree::search(const double* query, Neighbor& best, index_t my_component,
-                    std::span<const index_t> component, const KdTreeAnnotations& notes,
-                    const Score& score) const {
+std::uint64_t KdTree::search(const double* query, Neighbor& best, index_t my_component,
+                             std::span<const index_t> component, const KdTreeAnnotations& notes,
+                             const Score& score, const std::uint64_t* shared_bound) const {
   // Iterative DFS; near child first.  Pruning uses strict '>' so equal-score
-  // candidates are still examined and the smallest index wins ties.
-  std::vector<index_t> stack;
-  stack.reserve(64);
+  // candidates are still examined and the smallest index wins ties.  The
+  // stack is per-thread scratch (searches never nest), so warm queries
+  // allocate nothing.
+  thread_local std::vector<index_t> stack;
+  stack.clear();
   stack.push_back(0);
   double* leaf_sq = leaf_scratch(max_leaf_count_);
+  // The shared bound only ever decreases; the const_cast is for atomic_ref,
+  // which is load-only here.
+  const auto shared = [&] {
+    return std::atomic_ref<std::uint64_t>(*const_cast<std::uint64_t*>(shared_bound))
+        .load(std::memory_order_relaxed);
+  };
   // my_component == kNone disables the component filter entirely (a node's
   // kNone annotation means "mixed", which must never prune in that case).
   const bool filtered = my_component != kNone;
+  std::uint64_t visited = 0;
   while (!stack.empty()) {
     const index_t node = stack.back();
     stack.pop_back();
+    ++visited;
     if (filtered && notes.has_components() &&
         notes.node_component[static_cast<std::size_t>(node)] == my_component)
       continue;
@@ -316,6 +328,7 @@ void KdTree::search(const double* query, Neighbor& best, index_t my_component,
       bound = std::max(bound, score.extra_bound(node));
     }
     if (bound > best.squared_distance) continue;
+    if (shared_bound != nullptr && exec::order_preserving_bits(bound) > shared()) continue;
     const Node& nd = nodes_[static_cast<std::size_t>(node)];
     if (nd.left == kNone) {
       scan_leaf(nd, query, leaf_sq);
@@ -332,15 +345,20 @@ void KdTree::search(const double* query, Neighbor& best, index_t my_component,
     stack.push_back(left_first ? nd.right : nd.left);
     stack.push_back(left_first ? nd.left : nd.right);
   }
+  return visited;
 }
 
 Neighbor KdTree::nearest_other_component(index_t q, index_t my_component,
                                          std::span<const index_t> component,
-                                         const KdTreeAnnotations& notes) const {
+                                         const KdTreeAnnotations& notes,
+                                         const std::uint64_t* shared_bound,
+                                         std::uint64_t* nodes_visited) const {
   Neighbor best;
   const double* query = points_->point(q).data();
   EuclideanScore score{};
-  search(query, best, my_component, component, notes, score);
+  const std::uint64_t visited =
+      search(query, best, my_component, component, notes, score, shared_bound);
+  if (nodes_visited != nullptr) *nodes_visited += visited;
   return best;
 }
 
@@ -352,7 +370,7 @@ Neighbor KdTree::nearest_other_component(std::span<const double> query, index_t 
   // An out-of-index coordinate query scores exactly like an indexed one: the
   // leaf scan's squared distance is the score.
   EuclideanScore score{};
-  search(query.data(), best, my_component, component, notes, score);
+  search(query.data(), best, my_component, component, notes, score, nullptr);
   return best;
 }
 
@@ -381,11 +399,15 @@ struct MreachScoreBound {
 Neighbor KdTree::nearest_other_component_mreach(index_t q, index_t my_component,
                                                 std::span<const index_t> component,
                                                 std::span<const double> core_sq,
-                                                const KdTreeAnnotations& notes) const {
+                                                const KdTreeAnnotations& notes,
+                                                const std::uint64_t* shared_bound,
+                                                std::uint64_t* nodes_visited) const {
   Neighbor best;
   const double* query = points_->point(q).data();
   MreachScoreBound score{q, core_sq, &notes.node_min_core};
-  search(query, best, my_component, component, notes, score);
+  const std::uint64_t visited =
+      search(query, best, my_component, component, notes, score, shared_bound);
+  if (nodes_visited != nullptr) *nodes_visited += visited;
   return best;
 }
 

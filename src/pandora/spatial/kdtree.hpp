@@ -98,9 +98,20 @@ class KdTree {
   /// `component[]` differs from `my_component`.  Uses the component
   /// annotation in `notes` (from annotate_components) to skip
   /// single-component subtrees.
+  ///
+  /// `shared_bound`, when given, is a live upper bound on the score worth
+  /// finding, as `exec::order_preserving_bits` of a squared score, that other
+  /// threads may lower concurrently (Borůvka's per-component best weight).
+  /// A node is cut when its lower bound is strictly greater than a relaxed
+  /// load of it, so a result at or below the bound re-read after the call is
+  /// exact, ties and smallest-index winner included; a result above it may
+  /// not be.  `nodes_visited`, when given, is increased by the number of
+  /// nodes the traversal took off its stack.
   [[nodiscard]] Neighbor nearest_other_component(index_t q, index_t my_component,
                                                  std::span<const index_t> component,
-                                                 const KdTreeAnnotations& notes) const;
+                                                 const KdTreeAnnotations& notes,
+                                                 const std::uint64_t* shared_bound = nullptr,
+                                                 std::uint64_t* nodes_visited = nullptr) const;
 
   /// As above for an arbitrary coordinate query outside the index: nearest
   /// indexed point whose `component[]` differs from `my_component` (pass
@@ -115,10 +126,11 @@ class KdTree {
   /// As above under the mutual-reachability metric
   /// d_mreach(p,q) = max(core(p), core(q), d(p,q)) with *squared* core
   /// distances in `core_sq` (annotate_min_core must have filled `notes`).
-  [[nodiscard]] Neighbor nearest_other_component_mreach(index_t q, index_t my_component,
-                                                        std::span<const index_t> component,
-                                                        std::span<const double> core_sq,
-                                                        const KdTreeAnnotations& notes) const;
+  /// `shared_bound` and `nodes_visited` as for the indexed Euclidean query.
+  [[nodiscard]] Neighbor nearest_other_component_mreach(
+      index_t q, index_t my_component, std::span<const index_t> component,
+      std::span<const double> core_sq, const KdTreeAnnotations& notes,
+      const std::uint64_t* shared_bound = nullptr, std::uint64_t* nodes_visited = nullptr) const;
 
   /// Records into `notes`, per node, the component id shared by all points
   /// below it (or kNone if mixed).  Call once per Borůvka round.
@@ -169,10 +181,11 @@ class KdTree {
   void knn_batch_search(const BatchQuery* queries, index_t num_queries, int k,
                         std::vector<Neighbor>& out) const;
 
+  /// Shared component-query body; returns the number of nodes visited.
   template <class Score>
-  void search(const double* query, Neighbor& best, index_t my_component,
-              std::span<const index_t> component, const KdTreeAnnotations& notes,
-              const Score& score) const;
+  std::uint64_t search(const double* query, Neighbor& best, index_t my_component,
+                       std::span<const index_t> component, const KdTreeAnnotations& notes,
+                       const Score& score, const std::uint64_t* shared_bound) const;
 
   /// Squared distance from `query` to the node's bounding box.
   [[nodiscard]] double box_squared_distance(index_t node, const double* query) const;

@@ -8,6 +8,7 @@
 
 #include "pandora/data/point_generators.hpp"
 #include "pandora/dendrogram/pandora.hpp"
+#include "pandora/hdbscan/core_distance.hpp"
 #include "pandora/hdbscan/hdbscan.hpp"
 #include "pandora/spatial/emst.hpp"
 #include "pandora/spatial/kdtree.hpp"
@@ -57,6 +58,52 @@ TEST_P(ThreadSweep, EmstIsThreadCountInvariant) {
   ASSERT_EQ(under_test.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i)
     ASSERT_EQ(under_test[i], reference[i]) << "edge " << i;
+}
+
+/// Tie-heavy mutual-reachability inputs: an integer grid, where every
+/// lattice distance repeats thousands of times, and the jittered street grid.
+std::vector<spatial::PointSet> tie_heavy_point_sets() {
+  spatial::PointSet grid(2, 60 * 60);
+  for (index_t i = 0; i < 60 * 60; ++i) {
+    grid.at(i, 0) = static_cast<double>(i % 60);
+    grid.at(i, 1) = static_cast<double>(i / 60);
+  }
+  std::vector<spatial::PointSet> sets;
+  sets.push_back(std::move(grid));
+  sets.push_back(data::make_dataset("RoadNetProxy", 5000, 3));
+  return sets;
+}
+
+/// Checks edge-by-edge that the mutual-reachability MST built on `exec`
+/// matches the serial backend's, on every tie-heavy input and mpts.
+void expect_mreach_emst_matches_serial(const exec::Executor& exec) {
+  const exec::Executor serial(exec::serial_backend());
+  for (const spatial::PointSet& points : tie_heavy_point_sets()) {
+    const spatial::KdTree tree(points);
+    for (const int min_pts : {2, 4, 16}) {
+      const std::vector<double> core = hdbscan::core_distances(serial, points, tree, min_pts);
+      const auto reference = spatial::mutual_reachability_mst(serial, points, tree, core);
+      const auto under_test = spatial::mutual_reachability_mst(exec, points, tree, core);
+      ASSERT_EQ(under_test.size(), reference.size()) << "mpts " << min_pts;
+      for (std::size_t i = 0; i < reference.size(); ++i)
+        ASSERT_EQ(under_test[i], reference[i]) << "mpts " << min_pts << ", edge " << i;
+    }
+  }
+}
+
+TEST_P(ThreadSweep, MreachEmstIsThreadCountInvariant) {
+  // Queries prune against per-component bounds other threads lower while
+  // they run, so which nodes a query visits depends on the interleaving;
+  // the edges chosen must not.
+  ThreadCountGuard guard(GetParam());
+  expect_mreach_emst_matches_serial(exec::default_executor());
+}
+
+TEST(Determinism, MreachEmstOnPinnedPoolMatchesSerial) {
+  // The pinned pool runs real std::threads even where OpenMP is capped at
+  // one thread, so under TSan this is the test that race-checks the shared
+  // bound's relaxed loads against the atomic-min stores.
+  expect_mreach_emst_matches_serial(exec::Executor(exec::pinned_pool_backend(), 4));
 }
 
 TEST_P(ThreadSweep, HdbscanLabelsAreThreadCountInvariant) {

@@ -1,8 +1,13 @@
+#include "alloc_counter.hpp"  // must precede everything that allocates
+
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "pandora/data/point_generators.hpp"
+#include "pandora/exec/sort.hpp"
 #include "pandora/spatial/brute_force.hpp"
 #include "pandora/spatial/kdtree.hpp"
 #include "pandora/spatial/knn.hpp"
@@ -125,6 +130,89 @@ TEST(KdTree, NearestOtherComponentMreachMatchesBruteForce) {
     ASSERT_EQ(got.index, expected.index) << "q=" << q;
     ASSERT_DOUBLE_EQ(got.squared_distance, expected.squared_distance);
   }
+}
+
+TEST(KdTree, SharedBoundKeepsResultsAtOrBelowItExact) {
+  // A bound equal to the exact answer must still find it (strict '>' keeps
+  // ties and the smallest index); a bound just below it may cut the answer,
+  // but whatever comes back then lies above the bound.  An integer grid makes
+  // node lower bounds meet answers exactly, under mutual reachability at
+  // core(q) in particular.
+  PointSet points(2, 40 * 40);
+  for (index_t i = 0; i < 40 * 40; ++i) {
+    points.at(i, 0) = static_cast<double>(i % 40);
+    points.at(i, 1) = static_cast<double>(i / 40);
+  }
+  const index_t n = points.size();
+  const KdTree tree(points, 4);
+  std::vector<Neighbor> scratch;
+  std::vector<double> core_sq(static_cast<std::size_t>(n));
+  for (index_t q = 0; q < n; ++q) {
+    tree.knn(q, 3, scratch);
+    core_sq[static_cast<std::size_t>(q)] = scratch.back().squared_distance;
+  }
+  std::vector<index_t> component(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) component[static_cast<std::size_t>(i)] = (i / 3) % 5;
+  spatial::KdTreeAnnotations notes;
+  const exec::Executor& serial = exec::default_executor(exec::serial_backend());
+  tree.annotate_components(serial, component, notes);
+  tree.annotate_min_core(serial, core_sq, notes);
+  for (const bool mreach : {false, true}) {
+    const auto query = [&](index_t q, const std::uint64_t* bound) {
+      const index_t mine = component[static_cast<std::size_t>(q)];
+      return mreach ? tree.nearest_other_component_mreach(q, mine, component, core_sq, notes,
+                                                          bound)
+                    : tree.nearest_other_component(q, mine, component, notes, bound);
+    };
+    for (index_t q = 0; q < n; q += 3) {
+      const Neighbor exact = query(q, nullptr);
+      const std::uint64_t at = exec::order_preserving_bits(exact.squared_distance);
+      const Neighbor bounded = query(q, &at);
+      ASSERT_EQ(bounded.index, exact.index) << "q=" << q << " mreach=" << mreach;
+      ASSERT_EQ(bounded.squared_distance, exact.squared_distance);
+      const std::uint64_t below = at - 1;
+      ASSERT_GT(exec::order_preserving_bits(query(q, &below).squared_distance), below)
+          << "q=" << q << " mreach=" << mreach;
+    }
+  }
+}
+
+TEST(KdTree, WarmComponentQueriesAllocateNothing) {
+  // Borůvka issues one component query per stale point per round, so the
+  // traversal stack is per-thread scratch rather than a per-query vector.
+  const PointSet points = data::gaussian_blobs(2000, 3, 5, 0.05, 0.1, 4);
+  const KdTree tree(points);
+  std::vector<Neighbor> scratch;
+  std::vector<double> core_sq(2000);
+  for (index_t q = 0; q < 2000; ++q) {
+    tree.knn(q, 3, scratch);
+    core_sq[static_cast<std::size_t>(q)] = scratch.back().squared_distance;
+  }
+  std::vector<index_t> component(2000);
+  for (index_t i = 0; i < 2000; ++i) component[static_cast<std::size_t>(i)] = i % 3;
+  spatial::KdTreeAnnotations notes;
+  const exec::Executor& serial = exec::default_executor(exec::serial_backend());
+  tree.annotate_components(serial, component, notes);
+  tree.annotate_min_core(serial, core_sq, notes);
+  const std::uint64_t no_bound = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t visited = 0;
+  const auto query_all = [&] {
+    double sum = 0;
+    for (index_t q = 0; q < 2000; q += 7) {
+      const index_t mine = component[static_cast<std::size_t>(q)];
+      sum += tree.nearest_other_component(q, mine, component, notes).squared_distance;
+      sum += tree.nearest_other_component_mreach(q, mine, component, core_sq, notes, &no_bound,
+                                                 &visited)
+                 .squared_distance;
+    }
+    return sum;
+  };
+  const double warm = query_all();
+  const pandora::testing::AllocationCounterScope scope;
+  const double steady = query_all();
+  EXPECT_EQ(scope.count(), 0u) << "warm component queries must not touch the heap";
+  EXPECT_EQ(steady, warm);
+  EXPECT_GT(visited, 0u);
 }
 
 TEST(KdTree, KthNeighborDistancesSerialEqualsParallel) {

@@ -14,10 +14,13 @@
 #include <thread>
 #include <vector>
 
+#include "pandora/data/point_generators.hpp"
 #include "pandora/dendrogram/pandora.hpp"
 #include "pandora/obs/metrics.hpp"
 #include "pandora/obs/trace.hpp"
 #include "pandora/pipeline.hpp"
+#include "pandora/spatial/emst.hpp"
+#include "pandora/spatial/kdtree.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -280,6 +283,33 @@ TEST(Observability, WarmSpanRecordingAllocatesNothing) {
     recorder.record("steady", start, recorder.now_ns());
   }
   EXPECT_EQ(scope.count(), 0u) << "span recording must be allocation-free";
+}
+
+TEST(Observability, EmstCountersRecordBoruvkaShape) {
+  // A full build starts from singletons, so every point is active in every
+  // round and each is either re-queried or reuses its still-valid candidate.
+  const index_t n = 3000;
+  const spatial::PointSet points = data::uniform_points(n, 2, 21);
+  const spatial::KdTree tree(points);
+  const exec::Executor executor(exec::default_backend(), 4);
+  obs::Registry& reg = obs::registry();
+  const auto value = [&](const char* name) { return reg.counter_value(name); };
+  const std::uint64_t rounds0 = value("pandora_emst_rounds_total");
+  const std::uint64_t queries0 = value("pandora_emst_queries_total");
+  const std::uint64_t reuses0 = value("pandora_emst_candidate_reuses_total");
+  const std::uint64_t visited0 = value("pandora_emst_nodes_visited_total");
+
+  const graph::EdgeList mst = spatial::euclidean_mst(executor, points, tree);
+  ASSERT_EQ(mst.size(), static_cast<std::size_t>(n - 1));
+
+  const std::uint64_t rounds = value("pandora_emst_rounds_total") - rounds0;
+  const std::uint64_t queries = value("pandora_emst_queries_total") - queries0;
+  const std::uint64_t reuses = value("pandora_emst_candidate_reuses_total") - reuses0;
+  const std::uint64_t visited = value("pandora_emst_nodes_visited_total") - visited0;
+  EXPECT_GE(rounds, 1u);
+  EXPECT_GE(queries, static_cast<std::uint64_t>(n)) << "round 1 queries every point";
+  EXPECT_EQ(queries + reuses, rounds * static_cast<std::uint64_t>(n));
+  EXPECT_GE(visited, queries) << "every query visits at least the root";
 }
 
 TEST(Observability, WarmPipelineWithTracingAndMetricsAllocatesNothing) {
