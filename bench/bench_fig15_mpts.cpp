@@ -57,7 +57,8 @@ PrepareTimes prepare(const exec::Executor& executor, const spatial::PointSet& po
   times.core_seconds = timer.seconds();
 
   timer.reset();
-  times.mst = spatial::mutual_reachability_mst(executor, points, *tree, *core);
+  times.mst =
+      spatial::mutual_reachability_mst(executor, points, *tree, core->values, core->round1_seed);
   times.mst_seconds = timer.seconds();
   return times;
 }

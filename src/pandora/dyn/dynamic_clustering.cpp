@@ -64,7 +64,7 @@ DynamicClustering::DynamicClustering(const exec::Executor& exec, DynamicOptions 
       instance_(next_instance_id()) {}
 
 void DynamicClustering::rebuild_index() {
-  tree_ = std::make_unique<spatial::KdTree>(*points_, options_.leaf_size);
+  tree_ = std::make_unique<spatial::KdTree>(*exec_, *points_, options_.leaf_size);
   indexed_ = points_->size();
   ++stats_.index_rebuilds;
 }
@@ -178,33 +178,28 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
   {
     auto bound_lease = workspace.take_uninit<double>(m);
     const std::span<double> bound = bound_lease.span();
-    // Batched index probe pre-pass: the batch rows are contiguous row-major
-    // in the point set, so one knn_batch sweep per chunk probes every new
-    // point's two nearest INDEXED neighbours (coordinate queries — the batch
-    // is not indexed yet), amortizing the tree walk across the group.  Slots
+    // Index probe pre-pass: every new point's two nearest INDEXED
+    // neighbours, by coordinate query (the batch is not indexed yet).  Slots
     // stay +inf where the index has fewer than two points; offering +inf
     // below is a no-op.
     auto knn_lease = workspace.take<double>(static_cast<size_type>(m) * 2,
                                             std::numeric_limits<double>::infinity());
     const std::span<double> knn_sq = knn_lease.span();
     if (indexed_ > 0) {
-      const auto k_eff = static_cast<index_t>(std::min<index_t>(2, indexed_));
       constexpr index_t kProbeChunk = 128;
       const int num_chunks = static_cast<int>((m + kProbeChunk - 1) / kProbeChunk);
       auto probe_body = [&](int c) {
-        // thread_local: the batch result buffer keeps its capacity across
-        // chunks and batches, so the steady-state probe allocates nothing
-        // (the arena cannot lease a std::vector).
+        // thread_local: the result buffer keeps its capacity across chunks
+        // and batches, so the steady-state probe allocates nothing (the
+        // arena cannot lease a std::vector).
         static thread_local std::vector<spatial::Neighbor> probe;
         const index_t lo = static_cast<index_t>(c) * kProbeChunk;
         const index_t hi = std::min<index_t>(m, lo + kProbeChunk);
-        tree_->knn_batch(points.point(n_before + lo).data(), hi - lo, 2, probe);
-        for (index_t j = lo; j < hi; ++j)
-          for (index_t t = 0; t < k_eff; ++t)
-            knn_sq[static_cast<std::size_t>(j) * 2 + static_cast<std::size_t>(t)] =
-                probe[static_cast<std::size_t>(j - lo) * static_cast<std::size_t>(k_eff) +
-                      static_cast<std::size_t>(t)]
-                    .squared_distance;
+        for (index_t j = lo; j < hi; ++j) {
+          tree_->knn(points.point(n_before + j), 2, probe);
+          for (std::size_t t = 0; t < probe.size(); ++t)
+            knn_sq[static_cast<std::size_t>(j) * 2 + t] = probe[t].squared_distance;
+        }
       };
       exec_->run_chunks(num_chunks, exec_->num_threads(), probe_body);
     }
@@ -289,7 +284,7 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
     std::copy(points.coords().begin() +
                   static_cast<std::size_t>(n_before) * static_cast<std::size_t>(points.dim()),
               points.coords().end(), batch_points.coords().begin());
-    batch_tree = std::make_unique<spatial::KdTree>(batch_points, options_.leaf_size);
+    batch_tree = std::make_unique<spatial::KdTree>(*exec_, batch_points, options_.leaf_size);
   }
 
   // --- Borůvka rounds over the implicit candidate graph -------------------

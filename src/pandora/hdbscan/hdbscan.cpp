@@ -51,26 +51,33 @@ HdbscanResult hdbscan_with_fingerprint(const exec::Executor& exec,
       spatial::kdtree_cached(exec, points, 32, points_fp);
   exec.record_phase("tree_build", timer.seconds());
 
+  // The core-distance pass also certifies round-1 Borůvka candidates; the
+  // seeds ride in the cached artifact (or, uncached, live until the MST).
   timer.reset();
+  std::shared_ptr<const CoreDistances> core;
   if (exec.artifact_caching()) {
-    const std::shared_ptr<const std::vector<double>> core =
-        core_distances_cached(exec, points, *tree, options.min_pts, points_fp);
-    result.core_distances = *core;
+    core = core_distances_cached(exec, points, *tree, options.min_pts, points_fp);
+    result.core_distances = core->values;
   } else {
-    result.core_distances = core_distances(exec, points, *tree, options.min_pts);
+    auto fresh = std::make_shared<CoreDistances>(
+        core_distances_with_seeds(exec, points, *tree, options.min_pts));
+    result.core_distances = std::move(fresh->values);
+    core = std::move(fresh);
   }
   exec.record_phase("core_distance", timer.seconds());
 
   timer.reset();
   if (exec.artifact_caching()) {
     const std::shared_ptr<const graph::EdgeList> mst = spatial::mutual_reachability_mst_cached(
-        exec, points, *tree, result.core_distances, options.min_pts, points_fp);
+        exec, points, *tree, result.core_distances, options.min_pts, points_fp,
+        core->round1_seed);
     // Copy-out is the price of keeping HdbscanResult::mst a plain value: one
     // O(E) memcpy, well under a millesimal of the Borůvka build it replaces
     // on a warm hit.
     result.mst = *mst;
   } else {
-    result.mst = spatial::mutual_reachability_mst(exec, points, *tree, result.core_distances);
+    result.mst = spatial::mutual_reachability_mst(exec, points, *tree, result.core_distances,
+                                                  core->round1_seed);
   }
   exec.record_phase("mst", timer.seconds());
 
@@ -117,15 +124,17 @@ MinClusterSizeSweep hdbscan_sweep_min_cluster_size(const exec::Executor& exec,
   const std::shared_ptr<const spatial::KdTree> tree =
       spatial::kdtree_cached(exec, points, 32, points_fp);
   if (exec.artifact_caching()) {
-    const std::shared_ptr<const std::vector<double>> core =
+    const std::shared_ptr<const CoreDistances> core =
         core_distances_cached(exec, points, *tree, base.min_pts, points_fp);
-    sweep.core_distances = *core;
+    sweep.core_distances = core->values;
     const std::shared_ptr<const graph::EdgeList> mst = spatial::mutual_reachability_mst_cached(
-        exec, points, *tree, sweep.core_distances, base.min_pts, points_fp);
+        exec, points, *tree, sweep.core_distances, base.min_pts, points_fp, core->round1_seed);
     sweep.mst = *mst;
   } else {
-    sweep.core_distances = core_distances(exec, points, *tree, base.min_pts);
-    sweep.mst = spatial::mutual_reachability_mst(exec, points, *tree, sweep.core_distances);
+    CoreDistances core = core_distances_with_seeds(exec, points, *tree, base.min_pts);
+    sweep.core_distances = std::move(core.values);
+    sweep.mst = spatial::mutual_reachability_mst(exec, points, *tree, sweep.core_distances,
+                                                 core.round1_seed);
   }
 
   if (base.dendrogram_algorithm == DendrogramAlgorithm::pandora) {

@@ -51,9 +51,10 @@ graph::EdgeList Pipeline::build_mst(const spatial::PointSet& points,
                                     const spatial::KdTree& tree) const {
   return cancellable([&] {
     if (options_.min_pts <= 1) return spatial::euclidean_mst(*executor_, points, tree);
-    const std::vector<double> core =
-        hdbscan::core_distances(*executor_, points, tree, options_.min_pts);
-    return spatial::mutual_reachability_mst(*executor_, points, tree, core);
+    const hdbscan::CoreDistances core =
+        hdbscan::core_distances_with_seeds(*executor_, points, tree, options_.min_pts);
+    return spatial::mutual_reachability_mst(*executor_, points, tree, core.values,
+                                            core.round1_seed);
   });
 }
 

@@ -21,12 +21,14 @@ namespace {
 /// Stale-point queries per `run_chunks` chunk of phase 1b.
 constexpr index_t kQueriesPerChunk = 256;
 
-/// Borůvka shape counters, recorded once per round or per chunk.
+/// Borůvka shape counters, recorded once per build, round or chunk.
 struct EmstMetrics {
   obs::Counter& rounds;
   obs::Counter& queries;
   obs::Counter& reuses;
   obs::Counter& nodes_visited;
+  obs::Counter& seeded;
+  obs::Counter& bound_skips;
 };
 
 const EmstMetrics& emst_metrics() {
@@ -34,7 +36,9 @@ const EmstMetrics& emst_metrics() {
       obs::registry().counter("pandora_emst_rounds_total"),
       obs::registry().counter("pandora_emst_queries_total"),
       obs::registry().counter("pandora_emst_candidate_reuses_total"),
-      obs::registry().counter("pandora_emst_nodes_visited_total")};
+      obs::registry().counter("pandora_emst_nodes_visited_total"),
+      obs::registry().counter("pandora_emst_round1_seeded_total"),
+      obs::registry().counter("pandora_emst_bound_skips_total")};
   return metrics;
 }
 
@@ -43,9 +47,12 @@ const EmstMetrics& emst_metrics() {
 /// core distances then).  Starting from singletons this is the full EMST;
 /// starting from the components of a partial tree it joins exactly those
 /// components with minimum-weight edges (the dynamic subsystem's erase path).
+/// `round1_seed` (empty, or one entry per point) holds certified round-1
+/// candidates of a singleton start; see `hdbscan::CoreDistances`.
 graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
                              const KdTree& tree, const std::vector<double>& core_sq,
-                             bool use_mreach, graph::ConcurrentUnionFind& uf) {
+                             bool use_mreach, graph::ConcurrentUnionFind& uf,
+                             std::span<const index_t> round1_seed) {
   const index_t n = points.size();
   graph::EdgeList mst;
   if (n <= 1) return mst;
@@ -58,6 +65,10 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
   std::vector<std::uint64_t> best_weight(static_cast<std::size_t>(n), kInf);
   std::vector<index_t> best_point(static_cast<std::size_t>(n), kUnset);
   std::vector<Neighbor> point_best(static_cast<std::size_t>(n));
+  // Per point, a lower bound on the order-preserving bits of its exact
+  // foreign minimum.  The foreign set only shrinks, so the minimum only
+  // grows and a bound stays valid in every later round.
+  std::vector<std::uint64_t> lower(static_cast<std::size_t>(n), 0);
   std::vector<index_t> roots;
   roots.reserve(static_cast<std::size_t>(n));
   for (index_t p = 0; p < n; ++p)
@@ -75,6 +86,17 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
   if (use_mreach) tree.annotate_min_core(exec, core_sq, notes);
 
   const EmstMetrics& metrics = emst_metrics();
+  // A seed is exactly the candidate p's round-1 query would return, scored
+  // at c_p = core_sq[p]; pre-filled, it publishes in phase 1a and is reused
+  // instead of queried.
+  if (!round1_seed.empty()) {
+    metrics.seeded.inc(exec::parallel_sum(exec, n, std::uint64_t{0}, [&](size_type p) {
+      const index_t q = round1_seed[static_cast<std::size_t>(p)];
+      if (q == kNone) return std::uint64_t{0};
+      point_best[static_cast<std::size_t>(p)] = Neighbor{core_sq[static_cast<std::size_t>(p)], q};
+      return std::uint64_t{1};
+    }));
+  }
   const std::span<const index_t> order = tree.tree_order();
   const int num_chunks = static_cast<int>((n + kQueriesPerChunk - 1) / kQueriesPerChunk);
   while (mst.size() < joins_needed) {
@@ -125,12 +147,18 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
     // component's minimum survives the round, so (as in the single-tree GPU
     // Borůvka of [39]) phase 1a first publishes every still-valid candidate
     // and phase 1b runs the stale queries against the live `best_weight[c]`
-    // as a shared upper bound.  On the same input nearly every point then
-    // queries in every round (6.9n, since a cut query caches nothing), but
-    // the rounds visit 0.64M, 0.43M, 0.36M, 0.38M, 0.34M, 0.28M and 0.15M
-    // nodes, 2.6M in all instead of 6.0M; round 1, where every component is
-    // a single point and so no other query shares its bound, is now the
-    // largest.
+    // as a shared upper bound.  With that alone nearly every point queries
+    // in every round (6.9n) and the rounds visit 0.64M, 0.43M, 0.36M, 0.38M,
+    // 0.34M, 0.28M and 0.15M nodes, 2.6M in all instead of 6.0M.  Two more
+    // cuts stop repeated searches: a round-1 seed from the core-distance
+    // pass (`hdbscan::CoreDistances`) stands in for its point's round-1
+    // query, and a cut query leaves a lower bound that lets its point skip
+    // later queries the component's bound already rules out.  The rounds
+    // then query 2409, 20000, 12837, 10169, 7695, 7649 and 13752 points
+    // (3.7n), skip 0, 0, 5693, 9049, 11916, 12197 and 6239, and visit 0.07M,
+    // 0.43M, 0.29M, 0.25M, 0.18M, 0.14M and 0.11M nodes, 1.46M in all (4
+    // threads); round 2, where round 1's merges have made every seeded
+    // candidate stale, is the largest.
     //
     // Exactness: a query cuts a node only when its lower bound is strictly
     // greater than the bound it loaded, and the bound only decreases, so
@@ -141,6 +169,12 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
     // stored as `Neighbor{}` (stale next round) and not published.  Every
     // point whose exact candidate equals the component's minimum publishes
     // it, so phase 2 picks the same winner under any thread interleaving.
+    // Such a dropped result and every node its query cut lie strictly above
+    // the re-read bound R, so the point's exact foreign minimum is at least
+    // R + 1 in bits, in this round and (the foreign set only shrinks) every
+    // later one.  A stale point whose lower bound is strictly greater than
+    // the live bound would therefore be dropped again: it skips the query
+    // and stores the same `Neighbor{}`.
     const auto is_fresh = [&](const Neighbor& nb, index_t c) {
       return nb.index != kNone && component[static_cast<std::size_t>(nb.index)] != c;
     };
@@ -161,7 +195,7 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
     const auto body = [&](int chunk) {
       const index_t lo = static_cast<index_t>(chunk) * kQueriesPerChunk;
       const index_t hi = std::min<index_t>(n, lo + kQueriesPerChunk);
-      std::uint64_t queries = 0, reuses = 0, visited = 0;
+      std::uint64_t queries = 0, reuses = 0, skips = 0, visited = 0;
       for (index_t i = lo; i < hi; ++i) {
         const index_t p = order[static_cast<std::size_t>(i)];
         const index_t c = component[static_cast<std::size_t>(p)];
@@ -171,23 +205,32 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
           ++reuses;
           continue;
         }
-        ++queries;
         std::uint64_t& bound = best_weight[static_cast<std::size_t>(c)];
+        const std::atomic_ref<std::uint64_t> live(bound);
+        std::uint64_t& lower_p = lower[static_cast<std::size_t>(p)];
+        if (lower_p > live.load(std::memory_order_relaxed)) {
+          ++skips;
+          cached = Neighbor{};
+          continue;
+        }
+        ++queries;
         const Neighbor nb =
             use_mreach ? tree.nearest_other_component_mreach(p, c, component, core_sq, notes,
                                                              &bound, &visited)
                        : tree.nearest_other_component(p, c, component, notes, &bound, &visited);
         const std::uint64_t bits = exec::order_preserving_bits(nb.squared_distance);
-        if (nb.index != kNone &&
-            bits <= std::atomic_ref<std::uint64_t>(bound).load(std::memory_order_relaxed)) {
+        const std::uint64_t reread = live.load(std::memory_order_relaxed);
+        if (nb.index != kNone && bits <= reread) {
           cached = nb;
           exec::atomic_fetch_min(bound, bits);
         } else {
           cached = Neighbor{};
+          if (reread != kInf) lower_p = std::max(lower_p, reread + 1);
         }
       }
       metrics.queries.inc(queries);
       metrics.reuses.inc(reuses);
+      metrics.bound_skips.inc(skips);
       metrics.nodes_visited.inc(visited);
     };
     exec.run_chunks(num_chunks, exec.num_threads(), body);
@@ -234,25 +277,28 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
 graph::EdgeList euclidean_mst(const exec::Executor& exec, const PointSet& points,
                               const KdTree& tree) {
   graph::ConcurrentUnionFind uf(points.size());
-  return boruvka_emst(exec, points, tree, {}, false, uf);
+  return boruvka_emst(exec, points, tree, {}, false, uf, {});
 }
 
 graph::EdgeList join_components_emst(const exec::Executor& exec, const PointSet& points,
                                      const KdTree& tree, graph::ConcurrentUnionFind& uf) {
   PANDORA_EXPECT(uf.size() == points.size(), "one union-find slot per point required");
-  return boruvka_emst(exec, points, tree, {}, false, uf);
+  return boruvka_emst(exec, points, tree, {}, false, uf, {});
 }
 
 graph::EdgeList mutual_reachability_mst(const exec::Executor& exec, const PointSet& points,
                                         const KdTree& tree,
-                                        std::span<const double> core_distances) {
+                                        std::span<const double> core_distances,
+                                        std::span<const index_t> round1_seed) {
   PANDORA_EXPECT(static_cast<index_t>(core_distances.size()) == points.size(),
                  "one core distance per point required");
+  PANDORA_EXPECT(round1_seed.empty() || round1_seed.size() == core_distances.size(),
+                 "round-1 seeds: none, or one per point");
   std::vector<double> core_sq(core_distances.size());
   for (std::size_t i = 0; i < core_sq.size(); ++i)
     core_sq[i] = core_distances[i] * core_distances[i];
   graph::ConcurrentUnionFind uf(points.size());
-  return boruvka_emst(exec, points, tree, core_sq, true, uf);
+  return boruvka_emst(exec, points, tree, core_sq, true, uf, round1_seed);
 }
 
 namespace {
@@ -270,10 +316,10 @@ struct CachedEmst {
 std::shared_ptr<const graph::EdgeList> mutual_reachability_mst_cached(
     const exec::Executor& exec, const PointSet& points, const KdTree& tree,
     std::span<const double> core_distances, int min_pts,
-    std::optional<std::uint64_t> points_fingerprint) {
+    std::optional<std::uint64_t> points_fingerprint, std::span<const index_t> round1_seed) {
   const auto compute = [&] {
     auto owned = std::make_shared<CachedEmst>();
-    owned->mst = mutual_reachability_mst(exec, points, tree, core_distances);
+    owned->mst = mutual_reachability_mst(exec, points, tree, core_distances, round1_seed);
     owned->points = &points;
     return owned;
   };

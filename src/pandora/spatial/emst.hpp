@@ -21,9 +21,11 @@ namespace pandora::spatial {
 /// Points whose candidate from an earlier round is still foreign reuse it and
 /// publish it first; the others re-query with their component's live best
 /// weight as a shared upper bound, so a point that cannot win its component
-/// stops searching early.  Deterministic under distance ties and under any
-/// thread interleaving.  Rounds, queries, reuses and node visits are counted
-/// in `obs::registry()` (`pandora_emst_*_total`).
+/// stops searching early; a point whose earlier cut query proved it cannot
+/// beat that bound skips its query.  Deterministic under distance ties and
+/// under any thread interleaving.  Rounds, queries, reuses, bound skips,
+/// round-1 seeds and node visits are counted in `obs::registry()`
+/// (`pandora_emst_*_total`).
 ///
 /// The tree is read-only: per-round component annotations live in
 /// query-local `KdTreeAnnotations`, so one (possibly cached and shared) tree
@@ -46,11 +48,13 @@ namespace pandora::spatial {
 /// MST under the HDBSCAN* mutual-reachability metric
 /// d_mreach(p, q) = max(core(p), core(q), |p - q|), given per-point core
 /// distances (Section 6.5).  This is the "MST construction" phase of the
-/// paper's Figure 1/15 pipeline.
-[[nodiscard]] graph::EdgeList mutual_reachability_mst(const exec::Executor& exec,
-                                                      const PointSet& points,
-                                                      const KdTree& tree,
-                                                      std::span<const double> core_distances);
+/// paper's Figure 1/15 pipeline.  `round1_seed`, when not empty, holds one
+/// entry per point: the certified round-1 candidates of
+/// `hdbscan::core_distances_with_seeds` over the same core distances.  Seeded
+/// points skip their round-1 query; the edges are the same either way.
+[[nodiscard]] graph::EdgeList mutual_reachability_mst(
+    const exec::Executor& exec, const PointSet& points, const KdTree& tree,
+    std::span<const double> core_distances, std::span<const index_t> round1_seed = {});
 
 /// The cross-call EMST cache: the mutual-reachability MST of `points` at
 /// `min_pts`, reusing the copy stored in the Executor's ArtifactCache when
@@ -61,11 +65,13 @@ namespace pandora::spatial {
 /// mutated or different point sets miss.  `core_distances` must be the core
 /// distances of `points` at `min_pts` (they are part of the computation, not
 /// the key: (points, min_pts) already determines them).
-/// `points_fingerprint` shares a precomputed `point_set_fingerprint` pass.
+/// `points_fingerprint` shares a precomputed `point_set_fingerprint` pass;
+/// `round1_seed` is passed on to `mutual_reachability_mst` on a miss.
 /// With `Executor::set_artifact_caching(false)` every call recomputes.
 [[nodiscard]] std::shared_ptr<const graph::EdgeList> mutual_reachability_mst_cached(
     const exec::Executor& exec, const PointSet& points, const KdTree& tree,
     std::span<const double> core_distances, int min_pts,
-    std::optional<std::uint64_t> points_fingerprint = std::nullopt);
+    std::optional<std::uint64_t> points_fingerprint = std::nullopt,
+    std::span<const index_t> round1_seed = {});
 
 }  // namespace pandora::spatial

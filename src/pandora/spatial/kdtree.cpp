@@ -3,6 +3,7 @@
 #include <atomic>
 #include <bit>
 #include <numeric>
+#include <utility>
 
 #include "pandora/common/expect.hpp"
 #include "pandora/exec/fingerprint.hpp"
@@ -12,52 +13,69 @@
 
 namespace pandora::spatial {
 
+namespace {
+
+/// {nodes(m), nodes(m + 1)}, where nodes(m) counts the nodes of the subtree
+/// over m points: one leaf at m <= leaf, else 1 + nodes(m / 2) +
+/// nodes(m - m / 2).  Both children of m and of m + 1 hold m / 2 or m / 2 + 1
+/// points, so one pair per level suffices.
+std::pair<index_t, index_t> subtree_nodes(index_t m, index_t leaf) {
+  if (m + 1 <= leaf) return {1, 1};
+  const auto [half, half_plus_one] = subtree_nodes(m / 2, leaf);
+  const index_t at_m = m <= leaf ? 1 : 1 + half + (m % 2 == 0 ? half : half_plus_one);
+  const index_t at_m1 = 1 + half_plus_one + (m % 2 == 0 ? half : half_plus_one);
+  return {at_m, at_m1};
+}
+
+}  // namespace
+
 KdTree::KdTree(const PointSet& points, int leaf_size)
+    : KdTree(exec::default_executor(exec::serial_backend()), points, leaf_size) {}
+
+KdTree::KdTree(const exec::Executor& exec, const PointSet& points, int leaf_size)
     : points_(&points), dim_(points.dim()), leaf_size_(std::max(leaf_size, 1)) {
   PANDORA_EXPECT(dim_ > 0, "points must have positive dimension");
   const index_t n = points.size();
   perm_.resize(static_cast<std::size_t>(n));
   std::iota(perm_.begin(), perm_.end(), index_t{0});
-  if (n > 0) {
-    build(0, n);
-    build_leaf_soa();
-  }
-}
+  if (n == 0) return;
 
-void KdTree::build_leaf_soa() {
-  // One dimension-blocked SoA block per leaf, laid out back to back in perm
-  // order (a leaf's range [begin, end) owns leaf_soa_[begin*dim, end*dim)).
+  // Level-synchronous build: every node of one level splits its own perm_
+  // range, disjoint from its siblings', with exactly the nth_element call the
+  // depth-first recursion makes, so perm_ does not depend on the order nodes
+  // run in.  Node ids stay preorder (a left child follows its parent, the
+  // right child follows the left subtree), computed from subtree sizes.
+  const auto num_nodes = static_cast<std::size_t>(subtree_nodes(n, leaf_size_).first);
+  nodes_.resize(num_nodes);
+  box_lo_.resize(num_nodes * static_cast<std::size_t>(dim_));
+  box_hi_.resize(num_nodes * static_cast<std::size_t>(dim_));
   leaf_soa_.resize(perm_.size() * static_cast<std::size_t>(dim_));
-  for (const Node& nd : nodes_) {
-    if (nd.left != kNone) continue;
-    const index_t count = nd.end - nd.begin;
-    max_leaf_count_ = std::max(max_leaf_count_, count);
-    double* block = leaf_soa_.data() +
-                    static_cast<std::size_t>(nd.begin) * static_cast<std::size_t>(dim_);
-    for (index_t i = 0; i < count; ++i) {
-      const std::span<const double> p = points_->point(perm_[static_cast<std::size_t>(nd.begin + i)]);
-      for (int d = 0; d < dim_; ++d)
-        block[static_cast<std::size_t>(d) * static_cast<std::size_t>(count) +
-              static_cast<std::size_t>(i)] = p[static_cast<std::size_t>(d)];
+  nodes_[0] = Node{0, n, kNone, kNone, 0, 0.0};
+  std::vector<index_t> level{0}, next;
+  auto body = [&](int i) { build_node(level[static_cast<std::size_t>(i)]); };
+  while (!level.empty()) {
+    exec.run_chunks(static_cast<int>(level.size()), exec.num_threads(), body);
+    next.clear();
+    for (const index_t id : level) {
+      const Node& nd = nodes_[static_cast<std::size_t>(id)];
+      if (nd.left == kNone) continue;
+      next.push_back(nd.left);
+      next.push_back(nd.right);
     }
+    level.swap(next);
   }
+  for (const Node& nd : nodes_)
+    if (nd.left == kNone) max_leaf_count_ = std::max(max_leaf_count_, nd.end - nd.begin);
 }
 
-void KdTree::scan_leaf(const Node& nd, const double* query, double* out) const {
-  const index_t count = nd.end - nd.begin;
-  distance::batch_squared_distances(
-      query,
-      leaf_soa_.data() + static_cast<std::size_t>(nd.begin) * static_cast<std::size_t>(dim_),
-      dim_, count, count, out);
-}
-
-void KdTree::update_box(index_t node) {
-  const Node& nd = nodes_[static_cast<std::size_t>(node)];
-  const std::size_t base = static_cast<std::size_t>(node) * static_cast<std::size_t>(dim_);
+void KdTree::build_node(index_t id) {
+  Node& nd = nodes_[static_cast<std::size_t>(id)];
+  const index_t begin = nd.begin, end = nd.end;
+  const std::size_t base = static_cast<std::size_t>(id) * static_cast<std::size_t>(dim_);
   for (int d = 0; d < dim_; ++d) {
     double lo = std::numeric_limits<double>::infinity();
     double hi = -std::numeric_limits<double>::infinity();
-    for (index_t i = nd.begin; i < nd.end; ++i) {
+    for (index_t i = begin; i < end; ++i) {
       const double c = points_->at(perm_[static_cast<std::size_t>(i)], d);
       lo = std::min(lo, c);
       hi = std::max(hi, c);
@@ -65,18 +83,23 @@ void KdTree::update_box(index_t node) {
     box_lo_[base + static_cast<std::size_t>(d)] = lo;
     box_hi_[base + static_cast<std::size_t>(d)] = hi;
   }
-}
 
-index_t KdTree::build(index_t begin, index_t end) {
-  const auto id = static_cast<index_t>(nodes_.size());
-  nodes_.push_back(Node{begin, end, kNone, kNone, 0, 0.0});
-  box_lo_.resize(box_lo_.size() + static_cast<std::size_t>(dim_));
-  box_hi_.resize(box_hi_.size() + static_cast<std::size_t>(dim_));
-  update_box(id);
-  if (end - begin <= leaf_size_) return id;
+  const index_t count = end - begin;
+  if (count <= leaf_size_) {
+    // The leaf's dimension-blocked SoA block: leaves own disjoint perm_
+    // ranges, so blocks lay out back to back in perm order.
+    double* block =
+        leaf_soa_.data() + static_cast<std::size_t>(begin) * static_cast<std::size_t>(dim_);
+    for (index_t i = 0; i < count; ++i) {
+      const std::span<const double> p = points_->point(perm_[static_cast<std::size_t>(begin + i)]);
+      for (int d = 0; d < dim_; ++d)
+        block[static_cast<std::size_t>(d) * static_cast<std::size_t>(count) +
+              static_cast<std::size_t>(i)] = p[static_cast<std::size_t>(d)];
+    }
+    return;
+  }
 
   // Split the widest box extent at the median point.
-  const std::size_t base = static_cast<std::size_t>(id) * static_cast<std::size_t>(dim_);
   int split_dim = 0;
   double widest = -1;
   for (int d = 0; d < dim_; ++d) {
@@ -87,7 +110,7 @@ index_t KdTree::build(index_t begin, index_t end) {
       split_dim = d;
     }
   }
-  const index_t mid = begin + (end - begin) / 2;
+  const index_t mid = begin + count / 2;
   std::nth_element(perm_.begin() + begin, perm_.begin() + mid, perm_.begin() + end,
                    [&](index_t a, index_t b) {
                      const double ca = points_->at(a, split_dim);
@@ -95,16 +118,20 @@ index_t KdTree::build(index_t begin, index_t end) {
                      if (ca != cb) return ca < cb;
                      return a < b;  // deterministic partition under ties
                    });
-  const double split_value = points_->at(perm_[static_cast<std::size_t>(mid)], split_dim);
-
-  const index_t left = build(begin, mid);
-  const index_t right = build(mid, end);
-  Node& nd = nodes_[static_cast<std::size_t>(id)];
-  nd.left = left;
-  nd.right = right;
+  nd.left = id + 1;
+  nd.right = nd.left + subtree_nodes(mid - begin, leaf_size_).first;
   nd.split_dim = split_dim;
-  nd.split_value = split_value;
-  return id;
+  nd.split_value = points_->at(perm_[static_cast<std::size_t>(mid)], split_dim);
+  nodes_[static_cast<std::size_t>(nd.left)] = Node{begin, mid, kNone, kNone, 0, 0.0};
+  nodes_[static_cast<std::size_t>(nd.right)] = Node{mid, end, kNone, kNone, 0, 0.0};
+}
+
+void KdTree::scan_leaf(const Node& nd, const double* query, double* out) const {
+  const index_t count = nd.end - nd.begin;
+  distance::batch_squared_distances(
+      query,
+      leaf_soa_.data() + static_cast<std::size_t>(nd.begin) * static_cast<std::size_t>(dim_),
+      dim_, count, count, out);
 }
 
 double KdTree::box_squared_distance(index_t node, const double* query) const {
@@ -177,111 +204,6 @@ void KdTree::knn(index_t q, int k, std::vector<Neighbor>& out) const {
 
 void KdTree::knn(std::span<const double> query, int k, std::vector<Neighbor>& out) const {
   knn_search(query.data(), std::min<index_t>(k, size()), kNone, out);
-}
-
-void KdTree::knn_batch_search(const BatchQuery* queries, index_t num_queries, int k,
-                              std::vector<Neighbor>& out) const {
-  if (k <= 0 || num_queries <= 0 || size() == 0) {
-    out.clear();
-    return;
-  }
-  out.assign(static_cast<std::size_t>(num_queries) * static_cast<std::size_t>(k), Neighbor{});
-
-  constexpr index_t kGroup = 16;  // queries per group DFS (fits a uint32 mask)
-  double* leaf_sq = leaf_scratch(max_leaf_count_);
-
-  struct Frame {
-    index_t node;
-    std::uint32_t mask;  ///< queries still live below this node
-  };
-  thread_local std::vector<Frame> stack;
-
-  int filled[kGroup];
-
-  for (index_t g0 = 0; g0 < num_queries; g0 += kGroup) {
-    const index_t gn = std::min<index_t>(kGroup, num_queries - g0);
-    for (index_t qi = 0; qi < gn; ++qi) filled[qi] = 0;
-
-    // Query qi's result slice doubles as its sorted insertion buffer, so the
-    // per-query offer is byte-for-byte the single-query insertion logic.
-    auto slice = [&](index_t qi) {
-      return out.data() + static_cast<std::size_t>(g0 + qi) * static_cast<std::size_t>(k);
-    };
-    auto bound = [&](index_t qi) {
-      return filled[qi] == k ? slice(qi)[k - 1].squared_distance
-                             : std::numeric_limits<double>::infinity();
-    };
-    auto offer = [&](index_t qi, index_t p, double sq) {
-      if (p == queries[g0 + qi].exclude) return;
-      Neighbor* s = slice(qi);
-      int& n = filled[qi];
-      const Neighbor cand{sq, p};
-      if (n == k && !(cand < s[n - 1])) return;
-      Neighbor* pos = std::lower_bound(s, s + n, cand);
-      for (Neighbor* t = s + std::min(n, k - 1); t > pos; --t) *t = *(t - 1);
-      *pos = cand;
-      if (n < k) ++n;
-    };
-
-    stack.clear();
-    stack.push_back({0, (1u << gn) - 1});  // gn <= 16, shift never overflows
-    while (!stack.empty()) {
-      const Frame f = stack.back();
-      stack.pop_back();
-      // Re-prune against each query's CURRENT bound (it may have tightened
-      // since this frame was pushed); a node is descended if any query
-      // survives.  Relaxed group pruning only adds visits, never changes the
-      // (unique) k-best set, so results stay bit-identical to per-query knn.
-      std::uint32_t live = 0;
-      for (index_t qi = 0; qi < gn; ++qi) {
-        if ((f.mask & (1u << qi)) == 0) continue;
-        if (!(box_squared_distance(f.node, queries[g0 + qi].coords) > bound(qi)))
-          live |= 1u << qi;
-      }
-      if (live == 0) continue;
-      const Node& nd = nodes_[static_cast<std::size_t>(f.node)];
-      if (nd.left == kNone) {
-        // One SoA pass per live query while the leaf block is cache-hot.
-        for (index_t qi = 0; qi < gn; ++qi) {
-          if ((live & (1u << qi)) == 0) continue;
-          scan_leaf(nd, queries[g0 + qi].coords, leaf_sq);
-          for (index_t i = nd.begin; i < nd.end; ++i)
-            offer(qi, perm_[static_cast<std::size_t>(i)],
-                  leaf_sq[static_cast<std::size_t>(i - nd.begin)]);
-        }
-        continue;
-      }
-      // Near-child preference steered by the lowest live query; coherent
-      // groups (consecutive in tree_order) agree on the near side anyway.
-      const auto lead = static_cast<index_t>(std::countr_zero(live));
-      const bool left_first =
-          queries[g0 + lead].coords[nd.split_dim] <= nd.split_value;
-      stack.push_back({left_first ? nd.right : nd.left, live});
-      stack.push_back({left_first ? nd.left : nd.right, live});
-    }
-  }
-}
-
-void KdTree::knn_batch(std::span<const index_t> queries, int k, std::vector<Neighbor>& out) const {
-  const index_t n = size();
-  const int k_eff = static_cast<int>(std::max<index_t>(
-      0, std::min<index_t>(k, n > 0 ? n - 1 : 0)));
-  thread_local std::vector<BatchQuery> batch;
-  batch.resize(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i)
-    batch[i] = BatchQuery{points_->point(queries[i]).data(), queries[i]};
-  knn_batch_search(batch.data(), static_cast<index_t>(queries.size()), k_eff, out);
-}
-
-void KdTree::knn_batch(const double* queries, index_t num_queries, int k,
-                       std::vector<Neighbor>& out) const {
-  const int k_eff = static_cast<int>(std::max<index_t>(0, std::min<index_t>(k, size())));
-  thread_local std::vector<BatchQuery> batch;
-  batch.resize(static_cast<std::size_t>(num_queries));
-  for (index_t i = 0; i < num_queries; ++i)
-    batch[static_cast<std::size_t>(i)] =
-        BatchQuery{queries + static_cast<std::size_t>(i) * static_cast<std::size_t>(dim_), kNone};
-  knn_batch_search(batch.data(), num_queries, k_eff, out);
 }
 
 namespace {
@@ -483,7 +405,8 @@ namespace {
 /// that was so a lookup against a different (even content-identical) object
 /// rebuilds instead of returning a view into someone else's storage.
 struct CachedKdTree {
-  CachedKdTree(const PointSet& pts, int leaf_size) : tree(pts, leaf_size), points(&pts) {}
+  CachedKdTree(const exec::Executor& exec, const PointSet& pts, int leaf_size)
+      : tree(exec, pts, leaf_size), points(&pts) {}
   KdTree tree;
   const PointSet* points;
 };
@@ -494,7 +417,7 @@ std::shared_ptr<const KdTree> kdtree_cached(const exec::Executor& exec, const Po
                                             int leaf_size,
                                             std::optional<std::uint64_t> points_fingerprint) {
   const auto build = [&] {
-    auto owned = std::make_shared<CachedKdTree>(points, leaf_size);
+    auto owned = std::make_shared<CachedKdTree>(exec, points, leaf_size);
     const KdTree* view = &owned->tree;
     return std::shared_ptr<const KdTree>(std::move(owned), view);
   };
@@ -507,7 +430,7 @@ std::shared_ptr<const KdTree> kdtree_cached(const exec::Executor& exec, const Po
       static_cast<std::uint64_t>(static_cast<std::uint32_t>(leaf_size)));
   std::shared_ptr<CachedKdTree> entry = exec.artifact_cache().find<CachedKdTree>(key);
   if (entry == nullptr || entry->points != &points) {
-    entry = std::make_shared<CachedKdTree>(points, leaf_size);
+    entry = std::make_shared<CachedKdTree>(exec, points, leaf_size);
     exec.artifact_cache().insert(key, entry, exec.cache_owner());
   }
   const KdTree* view = &entry->tree;

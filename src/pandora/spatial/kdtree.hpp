@@ -60,7 +60,12 @@ struct KdTreeAnnotations {
 /// EMST built on them — are deterministic.
 class KdTree {
  public:
-  /// Builds over `points` (kept by reference; must outlive the tree).
+  /// Builds over `points` (kept by reference; must outlive the tree), one
+  /// tree level per `run_chunks` launch on `exec`.  The tree is the same for
+  /// every executor and thread count.
+  KdTree(const exec::Executor& exec, const PointSet& points, int leaf_size = 32);
+
+  /// As above on the serial backend.
   explicit KdTree(const PointSet& points, int leaf_size = 32);
 
   /// k nearest neighbours of point `q`, excluding q itself, ascending.
@@ -72,27 +77,6 @@ class KdTree {
   /// This is the entry the dynamic subsystem uses to probe the tree around a
   /// point that is not (yet) part of the index.
   void knn(std::span<const double> query, int k, std::vector<Neighbor>& out) const;
-
-  /// Batched multi-query kNN: all queries traverse the tree TOGETHER (one
-  /// group DFS; a node is descended if any still-unpruned query needs it),
-  /// so node boxes and SoA leaf blocks are visited once per group instead of
-  /// once per query and the leaf distance kernel amortizes across queries.
-  /// Results are BIT-IDENTICAL to per-query `knn` — the k-nearest set under
-  /// the total (distance, index) order is unique, so relaxed group pruning
-  /// only costs work, never changes answers.  Most effective when the
-  /// queries are spatially coherent (e.g. consecutive in `tree_order()`).
-  ///
-  /// `out` is resized to `queries.size() * k_eff` with query i's neighbours
-  /// ascending at [i * k_eff, (i+1) * k_eff), k_eff = min(k, n-1) (each
-  /// query point excludes itself).  Steady-state calls on a warm thread
-  /// allocate nothing beyond `out`'s capacity.
-  void knn_batch(std::span<const index_t> queries, int k, std::vector<Neighbor>& out) const;
-
-  /// As above for `num_queries` arbitrary row-major coordinate queries
-  /// (dim() doubles each, none excluded): k_eff = min(k, n).  The dynamic
-  /// subsystem's insert path probes whole batches through this.
-  void knn_batch(const double* queries, index_t num_queries, int k,
-                 std::vector<Neighbor>& out) const;
 
   /// Nearest point to `q` under the Euclidean metric among points whose
   /// `component[]` differs from `my_component`.  Uses the component
@@ -146,7 +130,7 @@ class KdTree {
   [[nodiscard]] const PointSet& points() const { return *points_; }
 
   /// Point ids in tree (leaf-partition) order: consecutive ids are spatially
-  /// close, which is the coherence `knn_batch` groups want.
+  /// close, so queries issued in this order walk the same nodes back to back.
   [[nodiscard]] std::span<const index_t> tree_order() const { return perm_; }
 
  private:
@@ -157,16 +141,9 @@ class KdTree {
     double split_value = 0;
   };
 
-  /// One query of a batched search: raw coordinates plus the indexed point
-  /// to exclude (kNone = exclude nothing).
-  struct BatchQuery {
-    const double* coords = nullptr;
-    index_t exclude = kNone;
-  };
-
-  index_t build(index_t begin, index_t end);
-  void update_box(index_t node);
-  void build_leaf_soa();
+  /// Computes node `id`'s box and, unless it is a leaf, splits its range at
+  /// the median and writes both children; a leaf fills its SoA block.
+  void build_node(index_t id);
 
   /// Squared distances from `query` to every point of leaf `nd` (tree
   /// order), through the dimension-blocked SoA leaf block.
@@ -176,10 +153,6 @@ class KdTree {
   /// indexed point `exclude` (kNone = exclude nothing).
   void knn_search(const double* query, int k, index_t exclude,
                   std::vector<Neighbor>& out) const;
-
-  /// Shared batched kNN body; `k` is the already-clamped per-query k_eff.
-  void knn_batch_search(const BatchQuery* queries, index_t num_queries, int k,
-                        std::vector<Neighbor>& out) const;
 
   /// Shared component-query body; returns the number of nodes visited.
   template <class Score>

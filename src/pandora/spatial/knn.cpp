@@ -1,9 +1,6 @@
 #include "pandora/spatial/knn.hpp"
 
-#include <algorithm>
 #include <cmath>
-
-#include "pandora/exec/backend.hpp"
 
 namespace pandora::spatial {
 
@@ -12,41 +9,9 @@ std::vector<double> kth_neighbor_distances(const exec::Executor& exec, const Poi
   const index_t n = points.size();
   std::vector<double> result(static_cast<std::size_t>(n), 0.0);
   if (k <= 0 || n <= 1) return result;
-
-  // Queries run in tree (leaf-partition) order so each knn_batch group is
-  // spatially coherent — the group DFS then shares most of its node visits
-  // and leaf SoA scans across the group.  Results scatter back by point id,
-  // so the output is identical to querying 0..n-1 directly.
-  const std::span<const index_t> order = tree.tree_order();
-  const int k_eff = static_cast<int>(std::min<index_t>(k, n - 1));
-
-  const auto run_chunk = [&](index_t lo, index_t hi, std::vector<Neighbor>& scratch) {
-    tree.knn_batch(order.subspan(static_cast<std::size_t>(lo), static_cast<std::size_t>(hi - lo)),
-                   k, scratch);
-    for (index_t i = lo; i < hi; ++i)
-      result[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])] = std::sqrt(
-          scratch[static_cast<std::size_t>(i - lo + 1) * static_cast<std::size_t>(k_eff) - 1]
-              .squared_distance);
-  };
-  if (exec.num_threads() > 1) {
-    // Small chunks so uneven query costs balance dynamically across the
-    // backend's workers (kd-tree searches vary with local density).
-    constexpr index_t kQueriesPerChunk = 256;
-    const int num_chunks = static_cast<int>((n + kQueriesPerChunk - 1) / kQueriesPerChunk);
-    auto body = [&](int c) {
-      // Per-worker scratch, persistent across chunks and calls (backend
-      // workers are long-lived threads) — steady-state passes allocate
-      // nothing here.
-      thread_local std::vector<Neighbor> scratch;
-      const index_t lo = static_cast<index_t>(c) * kQueriesPerChunk;
-      const index_t hi = std::min<index_t>(n, lo + kQueriesPerChunk);
-      run_chunk(lo, hi, scratch);
-    };
-    exec.run_chunks(num_chunks, exec.num_threads(), body);
-  } else {
-    std::vector<Neighbor> scratch;
-    run_chunk(0, n, scratch);
-  }
+  for_each_knn(exec, tree, k, [&](index_t p, std::span<const Neighbor> list) {
+    result[static_cast<std::size_t>(p)] = std::sqrt(list.back().squared_distance);
+  });
   return result;
 }
 

@@ -11,9 +11,11 @@
 //    already discarded;
 //  * SoaStore hands out 64-byte-aligned, zero-padded dimension-major blocks
 //    and the PointSet mirror invalidates on mutable access;
-//  * KdTree::knn_batch returns bit-identical results to per-query knn, and a
-//    warm batched probe performs zero heap allocations.
+//  * KdTree::knn (indexed and coordinate queries) returns the pair kernel's
+//    bits and index order through its SoA leaf scans, and a warm probe
+//    performs zero heap allocations.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -233,69 +235,82 @@ TEST(SoaStore, PointSetMirrorInvalidatesOnMutableAccess) {
   EXPECT_EQ(first->block(0)[1 * spatial::SoaStore::kLane + 2], 3.0);
 }
 
-TEST(KdTreeBatch, KnnBatchBitIdenticalToPerQueryKnn) {
+/// The k nearest of `points` to `query` under (distance, index), scored by
+/// the row-major pair kernel, skipping the indexed point `exclude`.
+std::vector<spatial::Neighbor> pair_kernel_knn(const spatial::PointSet& points,
+                                               const double* query, index_t exclude, int k) {
+  std::vector<spatial::Neighbor> all;
+  for (index_t p = 0; p < points.size(); ++p)
+    if (p != exclude)
+      all.push_back({dist::squared_distance(query, points.point(p).data(), points.dim()), p});
+  std::sort(all.begin(), all.end());
+  all.resize(std::min(all.size(), static_cast<std::size_t>(k)));
+  return all;
+}
+
+void expect_same_bits(const std::vector<spatial::Neighbor>& got,
+                      const std::vector<spatial::Neighbor>& expected) {
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    ASSERT_EQ(got[t].index, expected[t].index) << "t=" << t;
+    ASSERT_EQ(bits(got[t].squared_distance), bits(expected[t].squared_distance)) << "t=" << t;
+  }
+}
+
+TEST(KdTreeKnn, KnnBitIdenticalToPairKernel) {
   for (const int dim : {2, 3, 5, 7}) {
     const spatial::PointSet points =
         data::uniform_points(500, dim, 1000 + static_cast<std::uint64_t>(dim));
     const spatial::KdTree tree(points, /*leaf_size=*/8);
     for (const int k : {1, 4, 16}) {
-      std::vector<spatial::Neighbor> batch_out;
-      tree.knn_batch(tree.tree_order(), k, batch_out);
-      const auto k_eff = static_cast<std::size_t>(std::min<index_t>(k, points.size() - 1));
-      ASSERT_EQ(batch_out.size(), static_cast<std::size_t>(points.size()) * k_eff);
-
       std::vector<spatial::Neighbor> single;
-      for (std::size_t i = 0; i < tree.tree_order().size(); ++i) {
-        const index_t q = tree.tree_order()[i];
+      for (const index_t q : tree.tree_order()) {
         tree.knn(q, k, single);
-        ASSERT_EQ(single.size(), k_eff);
-        for (std::size_t t = 0; t < k_eff; ++t) {
-          ASSERT_EQ(batch_out[i * k_eff + t].index, single[t].index)
-              << "dim=" << dim << " k=" << k << " q=" << q << " t=" << t;
-          ASSERT_EQ(bits(batch_out[i * k_eff + t].squared_distance),
-                    bits(single[t].squared_distance))
-              << "dim=" << dim << " k=" << k << " q=" << q << " t=" << t;
-        }
+        SCOPED_TRACE(::testing::Message() << "dim=" << dim << " k=" << k << " q=" << q);
+        expect_same_bits(single, pair_kernel_knn(points, points.point(q).data(), q, k));
       }
     }
   }
 }
 
-TEST(KdTreeBatch, CoordinateOverloadMatchesCoordinateKnn) {
+TEST(KdTreeKnn, CoordinateKnnBitIdenticalToPairKernel) {
   const int dim = 3;
   const spatial::PointSet points = data::uniform_points(300, dim, 77);
   const spatial::KdTree tree(points, /*leaf_size=*/8);
   const spatial::PointSet queries = data::uniform_points(40, dim, 78);
   const int k = 5;
 
-  std::vector<spatial::Neighbor> batch_out;
-  tree.knn_batch(queries.coords().data(), queries.size(), k, batch_out);
-  ASSERT_EQ(batch_out.size(), static_cast<std::size_t>(queries.size()) * k);
-
   std::vector<spatial::Neighbor> single;
   for (index_t i = 0; i < queries.size(); ++i) {
     tree.knn(queries.point(i), k, single);
-    ASSERT_EQ(single.size(), static_cast<std::size_t>(k));
-    for (int t = 0; t < k; ++t) {
-      ASSERT_EQ(batch_out[static_cast<std::size_t>(i) * k + t].index,
-                single[static_cast<std::size_t>(t)].index);
-      ASSERT_EQ(bits(batch_out[static_cast<std::size_t>(i) * k + t].squared_distance),
-                bits(single[static_cast<std::size_t>(t)].squared_distance));
-    }
+    SCOPED_TRACE(::testing::Message() << "query=" << i);
+    expect_same_bits(single, pair_kernel_knn(points, queries.point(i).data(), kNone, k));
   }
 }
 
-TEST(KdTreeBatch, WarmBatchedProbeAllocatesNothing) {
+TEST(KdTreeKnn, WarmProbeAllocatesNothing) {
   const spatial::PointSet points = data::uniform_points(2000, 3, 99);
   const spatial::KdTree tree(points, /*leaf_size=*/16);
-  const std::span<const index_t> order = tree.tree_order();
-  const std::span<const index_t> queries = order.subspan(0, 64);
+  const std::span<const index_t> queries = tree.tree_order().subspan(0, 64);
+  const spatial::PointSet coords = data::uniform_points(64, 3, 100);
 
   std::vector<spatial::Neighbor> out;
-  tree.knn_batch(queries, 8, out);  // warm: result capacity + thread_local scratch
-  tree.knn_batch(queries, 8, out);
+  const auto probe_all = [&] {
+    double sum = 0;
+    for (const index_t q : queries) {
+      tree.knn(q, 8, out);
+      sum += out.back().squared_distance;
+    }
+    for (index_t i = 0; i < coords.size(); ++i) {
+      tree.knn(coords.point(i), 2, out);
+      sum += out.back().squared_distance;
+    }
+    return sum;
+  };
+  const double warm = probe_all();  // sizes `out` and the thread_local scratch
 
   pandora::testing::AllocationCounterScope scope;
-  tree.knn_batch(queries, 8, out);
-  EXPECT_EQ(scope.count(), 0u) << "warm batched probe must not touch the heap";
+  const double steady = probe_all();
+  EXPECT_EQ(scope.count(), 0u) << "a warm probe must not touch the heap";
+  EXPECT_EQ(steady, warm);
 }

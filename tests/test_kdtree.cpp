@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "pandora/data/point_generators.hpp"
 #include "pandora/exec/sort.hpp"
@@ -227,6 +229,66 @@ TEST(KdTree, KthNeighborDistancesSerialEqualsParallel) {
     EXPECT_DOUBLE_EQ(serial[static_cast<std::size_t>(q)],
                      std::sqrt(expected.back().squared_distance));
   }
+}
+
+void expect_same_tree(const PointSet& points, int leaf_size) {
+  // The level-parallel build on a 4-worker pool against the serial backend:
+  // same node ranges, splits and leaf blocks, so the same answers.
+  const exec::Executor pool(exec::pinned_pool_backend(), 4);
+  const exec::Executor& serial = exec::default_executor(exec::serial_backend());
+  const KdTree parallel_tree(pool, points, leaf_size);
+  const KdTree serial_tree(serial, points, leaf_size);
+  const index_t n = points.size();
+  SCOPED_TRACE(::testing::Message() << "n=" << n);
+  ASSERT_TRUE(std::ranges::equal(parallel_tree.tree_order(), serial_tree.tree_order()));
+
+  const auto expect_same = [](const std::vector<Neighbor>& a, const std::vector<Neighbor>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i].index, b[i].index);
+      ASSERT_EQ(a[i].squared_distance, b[i].squared_distance);
+    }
+  };
+  std::vector<index_t> component(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) component[static_cast<std::size_t>(i)] = i % 3;
+  spatial::KdTreeAnnotations parallel_notes, serial_notes;
+  parallel_tree.annotate_components(serial, component, parallel_notes);
+  serial_tree.annotate_components(serial, component, serial_notes);
+  std::vector<Neighbor> a, b;
+  for (index_t q = 0; q < n; q += n / 400 + 1) {
+    parallel_tree.knn(q, 8, a);
+    serial_tree.knn(q, 8, b);
+    expect_same(a, b);
+    const index_t mine = component[static_cast<std::size_t>(q)];
+    const Neighbor pa = parallel_tree.nearest_other_component(q, mine, component, parallel_notes);
+    const Neighbor sa = serial_tree.nearest_other_component(q, mine, component, serial_notes);
+    ASSERT_EQ(pa.index, sa.index) << "q=" << q;
+    ASSERT_EQ(pa.squared_distance, sa.squared_distance) << "q=" << q;
+  }
+  const std::vector<double> origin(static_cast<std::size_t>(points.dim()), 0.25);
+  parallel_tree.knn(origin, 8, a);
+  serial_tree.knn(origin, 8, b);
+  expect_same(a, b);
+}
+
+TEST(KdTree, ParallelBuildMatchesSerialBuild) {
+  const int leaf = 32;
+  for (const index_t n : {0, 1, leaf, leaf + 1})
+    expect_same_tree(data::uniform_points(n, 3, 7 + static_cast<std::uint64_t>(n)), leaf);
+  expect_same_tree(data::make_dataset("HaccProxy", 20000, 1), leaf);
+
+  // Duplicate-heavy: 2000 points on 50 locations, so medians split ties.
+  PointSet duplicates(2, 2000);
+  Rng rng(8);
+  std::vector<double> xs(50), ys(50);
+  for (int i = 0; i < 50; ++i) xs[static_cast<std::size_t>(i)] = rng.next_double();
+  for (int i = 0; i < 50; ++i) ys[static_cast<std::size_t>(i)] = rng.next_double();
+  for (index_t i = 0; i < 2000; ++i) {
+    duplicates.at(i, 0) = xs[static_cast<std::size_t>(i % 50)];
+    duplicates.at(i, 1) = ys[static_cast<std::size_t>((i * 7) % 50)];
+  }
+  expect_same_tree(duplicates, leaf);
+  expect_same_tree(duplicates, 4);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 
 #include "pandora/data/point_generators.hpp"
 #include "pandora/dendrogram/pandora.hpp"
+#include "pandora/hdbscan/core_distance.hpp"
 #include "pandora/obs/metrics.hpp"
 #include "pandora/obs/trace.hpp"
 #include "pandora/pipeline.hpp"
@@ -287,29 +288,59 @@ TEST(Observability, WarmSpanRecordingAllocatesNothing) {
 
 TEST(Observability, EmstCountersRecordBoruvkaShape) {
   // A full build starts from singletons, so every point is active in every
-  // round and each is either re-queried or reuses its still-valid candidate.
+  // round: it re-queries, reuses its still-valid candidate (a round-1 seed
+  // included), or skips a query its lower bound proves cannot win.
+  struct Shape {
+    std::uint64_t rounds, queries, reuses, visited, seeded, skips;
+  };
+  obs::Registry& reg = obs::registry();
+  const auto read = [&] {
+    return Shape{reg.counter_value("pandora_emst_rounds_total"),
+                 reg.counter_value("pandora_emst_queries_total"),
+                 reg.counter_value("pandora_emst_candidate_reuses_total"),
+                 reg.counter_value("pandora_emst_nodes_visited_total"),
+                 reg.counter_value("pandora_emst_round1_seeded_total"),
+                 reg.counter_value("pandora_emst_bound_skips_total")};
+  };
+  const auto shape_of = [&](auto&& build) {
+    const Shape before = read();
+    build();
+    const Shape after = read();
+    return Shape{after.rounds - before.rounds,   after.queries - before.queries,
+                 after.reuses - before.reuses,   after.visited - before.visited,
+                 after.seeded - before.seeded,   after.skips - before.skips};
+  };
+  const exec::Executor executor(exec::default_backend(), 4);
+
   const index_t n = 3000;
   const spatial::PointSet points = data::uniform_points(n, 2, 21);
   const spatial::KdTree tree(points);
-  const exec::Executor executor(exec::default_backend(), 4);
-  obs::Registry& reg = obs::registry();
-  const auto value = [&](const char* name) { return reg.counter_value(name); };
-  const std::uint64_t rounds0 = value("pandora_emst_rounds_total");
-  const std::uint64_t queries0 = value("pandora_emst_queries_total");
-  const std::uint64_t reuses0 = value("pandora_emst_candidate_reuses_total");
-  const std::uint64_t visited0 = value("pandora_emst_nodes_visited_total");
+  const Shape euclid = shape_of([&] {
+    ASSERT_EQ(spatial::euclidean_mst(executor, points, tree).size(),
+              static_cast<std::size_t>(n - 1));
+  });
+  EXPECT_GE(euclid.rounds, 1u);
+  EXPECT_GE(euclid.queries, static_cast<std::uint64_t>(n)) << "round 1 queries every point";
+  EXPECT_EQ(euclid.seeded, 0u);
+  EXPECT_EQ(euclid.queries + euclid.reuses + euclid.skips,
+            euclid.rounds * static_cast<std::uint64_t>(n));
+  EXPECT_GE(euclid.visited, euclid.queries) << "every query visits at least the root";
 
-  const graph::EdgeList mst = spatial::euclidean_mst(executor, points, tree);
-  ASSERT_EQ(mst.size(), static_cast<std::size_t>(n - 1));
-
-  const std::uint64_t rounds = value("pandora_emst_rounds_total") - rounds0;
-  const std::uint64_t queries = value("pandora_emst_queries_total") - queries0;
-  const std::uint64_t reuses = value("pandora_emst_candidate_reuses_total") - reuses0;
-  const std::uint64_t visited = value("pandora_emst_nodes_visited_total") - visited0;
-  EXPECT_GE(rounds, 1u);
-  EXPECT_GE(queries, static_cast<std::uint64_t>(n)) << "round 1 queries every point";
-  EXPECT_EQ(queries + reuses, rounds * static_cast<std::uint64_t>(n));
-  EXPECT_GE(visited, queries) << "every query visits at least the root";
+  const index_t m = 5000;
+  const spatial::PointSet hacc = data::make_dataset("HaccProxy", m, 1);
+  const spatial::KdTree hacc_tree(executor, hacc);
+  const hdbscan::CoreDistances core =
+      hdbscan::core_distances_with_seeds(executor, hacc, hacc_tree, 4);
+  const Shape mreach = shape_of([&] {
+    ASSERT_EQ(spatial::mutual_reachability_mst(executor, hacc, hacc_tree, core.values,
+                                               core.round1_seed)
+                  .size(),
+              static_cast<std::size_t>(m - 1));
+  });
+  EXPECT_GT(mreach.seeded, 0u) << "the core-distance pass certifies round-1 candidates";
+  EXPECT_LE(mreach.seeded, mreach.reuses) << "seeded points count as reuses";
+  EXPECT_EQ(mreach.queries + mreach.reuses + mreach.skips,
+            mreach.rounds * static_cast<std::uint64_t>(m));
 }
 
 TEST(Observability, WarmPipelineWithTracingAndMetricsAllocatesNothing) {

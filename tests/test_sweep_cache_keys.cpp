@@ -89,8 +89,8 @@ TEST(CoreDistanceCache, MptsValuesNeverAlias) {
   const auto at4 = hdbscan::core_distances_cached(executor, points, *tree, 4);
   const auto at8 = hdbscan::core_distances_cached(executor, points, *tree, 8);
   EXPECT_NE(at4.get(), at8.get()) << "mpts is part of the key";
-  EXPECT_EQ(*at4, hdbscan::core_distances(executor, points, *tree, 4));
-  EXPECT_EQ(*at8, hdbscan::core_distances(executor, points, *tree, 8));
+  EXPECT_EQ(at4->values, hdbscan::core_distances(executor, points, *tree, 4));
+  EXPECT_EQ(at8->values, hdbscan::core_distances(executor, points, *tree, 8));
 
   const auto at4_again = hdbscan::core_distances_cached(executor, points, *tree, 4);
   EXPECT_EQ(at4.get(), at4_again.get()) << "same mpts replays";
@@ -109,14 +109,14 @@ TEST(EmstCache, MptsValuesNeverAliasAndSweepsSkipBoruvka) {
   const auto core4 = hdbscan::core_distances_cached(executor, points, *tree, 4);
   const auto core8 = hdbscan::core_distances_cached(executor, points, *tree, 8);
 
-  const auto at4 = spatial::mutual_reachability_mst_cached(executor, points, *tree, *core4, 4);
-  const auto at8 = spatial::mutual_reachability_mst_cached(executor, points, *tree, *core8, 8);
+  const auto at4 = spatial::mutual_reachability_mst_cached(executor, points, *tree, core4->values, 4);
+  const auto at8 = spatial::mutual_reachability_mst_cached(executor, points, *tree, core8->values, 8);
   EXPECT_NE(at4.get(), at8.get()) << "mpts is part of the key";
-  EXPECT_EQ(*at4, spatial::mutual_reachability_mst(executor, points, *tree, *core4));
-  EXPECT_EQ(*at8, spatial::mutual_reachability_mst(executor, points, *tree, *core8));
+  EXPECT_EQ(*at4, spatial::mutual_reachability_mst(executor, points, *tree, core4->values));
+  EXPECT_EQ(*at8, spatial::mutual_reachability_mst(executor, points, *tree, core8->values));
 
   const auto at4_again =
-      spatial::mutual_reachability_mst_cached(executor, points, *tree, *core4, 4);
+      spatial::mutual_reachability_mst_cached(executor, points, *tree, core4->values, 4);
   EXPECT_EQ(at4.get(), at4_again.get()) << "same mpts replays without Borůvka";
 
   spatial::PointSet mutated = points;
@@ -124,7 +124,7 @@ TEST(EmstCache, MptsValuesNeverAliasAndSweepsSkipBoruvka) {
   const auto mutated_tree = spatial::kdtree_cached(executor, mutated);
   const auto mutated_core = hdbscan::core_distances_cached(executor, mutated, *mutated_tree, 4);
   const auto mutated_mst = spatial::mutual_reachability_mst_cached(executor, mutated,
-                                                                   *mutated_tree, *mutated_core, 4);
+                                                                   *mutated_tree, mutated_core->values, 4);
   EXPECT_NE(at4.get(), mutated_mst.get()) << "mutated inputs must miss";
 
   // The mcs-sweep front door replays the whole prefix — including the EMST —
