@@ -66,15 +66,26 @@ struct ContractionHierarchy {
 
 namespace detail {
 
+/// maxIncident of every vertex of the graph (`u[i]`, `v[i]`) over
+/// `out.size()` vertices: the largest edge index incident to it, or kNone
+/// for an isolated vertex.  Owner-computes, with no atomics: chunk c of
+/// `exec.num_threads()` owns a contiguous vertex range and streams every
+/// edge in ascending order into a private window, so the last write to a
+/// slot is its maximum.  One `run_chunks` launch; each chunk reads all edges
+/// but writes only its own window and its own range of `out`.
+void max_incident(const exec::Executor& exec, std::span<const index_t> u,
+                  std::span<const index_t> v, std::span<index_t> out);
+
 /// Classifies the edges of one level tree and contracts its non-α edges.
 /// Inputs: endpoints `u`/`v` (level-vertex ids) and global indices `gid` of
-/// the level's edges over `num_vertices` vertices; an empty `gid` means the
-/// identity mapping (edge i has global index i), which is the base level of
-/// the canonical sorted MST.  On return, `level` is fully populated; if
-/// α-edges exist, `next_*` hold the contracted tree and `level.vertex_map`
-/// the vertex relabelling; the fate of each input edge is readable from
-/// `alpha` (flag per edge).  The result owns its storage as Workspace leases
-/// and must not outlive the Executor.
+/// the level's edges over `num_vertices` vertices; `gid` must increase with
+/// the local index (levels emitted by the contraction do), and an empty
+/// `gid` means the identity mapping (edge i has global index i), which is
+/// the base level of the canonical sorted MST.  On return, `level` is fully
+/// populated; if α-edges exist, `next_*` hold the contracted tree and
+/// `level.vertex_map` the vertex relabelling; the fate of each input edge is
+/// readable from `alpha` (flag per edge).  The result owns its storage as
+/// Workspace leases and must not outlive the Executor.
 struct LevelResult {
   ContractionLevel level;
   std::span<const index_t> alpha;  ///< 0/1 per input edge
@@ -97,11 +108,19 @@ struct LevelResult {
 }  // namespace detail
 
 /// Builds the complete contraction hierarchy of the tree given by parallel
-/// arrays (`u[i]`, `v[i]`) with global edge indices `gid[i]` over
+/// arrays (`u[i]`, `v[i]`) with increasing global edge indices `gid[i]` over
 /// `num_vertices` vertices; an empty `gid` means the identity mapping (the
 /// common case — the canonical sorted MST — which then needs no materialised
 /// iota at all).  `num_global_edges` sizes the per-global-edge fate arrays
 /// (pass the total edge count of the original MST).
+///
+/// Each level is a handful of launches with no atomic read-modify-write:
+/// owner-computes maxIncident, α classification, a per-vertex pass that
+/// writes the sided parents and a pointer forest of the supervertices, a
+/// scan of the forest's roots, one path-halving find per vertex, and the
+/// emit pass (next level plus the fates of the contracted edges).  The
+/// hierarchy is identical on every backend and at every thread count.
+/// Records `pandora_contraction_{levels,edges,alpha_edges}_total` once.
 [[nodiscard]] ContractionHierarchy build_hierarchy(const exec::Executor& exec,
                                                    std::span<const index_t> u,
                                                    std::span<const index_t> v,

@@ -26,23 +26,12 @@ void pandora_dendrogram_into(const exec::Executor& exec, const SortedEdges& sort
 
   if (options.expansion == ExpansionPolicy::single_level) {
     expand_single_level(exec, sorted, edge_parent);
-    // Vertex parents by Eq. (1): recompute maxIncident of the original tree.
-    // (The single-level path does not retain its base level, so one extra
-    // linear pass; negligible next to the walk itself.)
-    auto max_incident_lease = exec.workspace().take<index_t>(nv, kNone);
-    const std::span<index_t> max_incident = max_incident_lease.span();
-    exec::parallel_for(exec, n, [&](size_type i) {
-      exec::atomic_fetch_max(
-          max_incident[static_cast<std::size_t>(sorted.u[static_cast<std::size_t>(i)])],
-          static_cast<index_t>(i));
-      exec::atomic_fetch_max(
-          max_incident[static_cast<std::size_t>(sorted.v[static_cast<std::size_t>(i)])],
-          static_cast<index_t>(i));
-    });
-    exec::parallel_for(exec, nv, [&](size_type x) {
-      out.parent[static_cast<std::size_t>(n + x)] =
-          max_incident[static_cast<std::size_t>(x)];
-    });
+    // Vertex parents by Eq. (1): maxIncident of the original tree, whose
+    // local edge indices are the global ones.  (The single-level path does
+    // not retain its base level, so one extra launch; negligible next to the
+    // walk itself.)
+    detail::max_incident(exec, sorted.u, sorted.v,
+                         std::span<index_t>(out.parent).subspan(static_cast<std::size_t>(n)));
     return;
   }
 

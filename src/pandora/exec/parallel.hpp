@@ -106,19 +106,6 @@ template <class T, class Transform>
                          [](T a, T b) { return a + b; });
 }
 
-/// Relaxed atomic max on an integral slot; returns nothing (used for
-/// idempotent "max of all writers wins" scatter patterns such as the
-/// maxIncident computation of Section 3.1).
-template <class T>
-void atomic_fetch_max(T& slot, T value) {
-  static_assert(std::is_integral_v<T>);
-  std::atomic_ref<T> ref(slot);
-  T current = ref.load(std::memory_order_relaxed);
-  while (current < value &&
-         !ref.compare_exchange_weak(current, value, std::memory_order_relaxed)) {
-  }
-}
-
 /// Relaxed atomic min on an integral slot.
 template <class T>
 void atomic_fetch_min(T& slot, T value) {

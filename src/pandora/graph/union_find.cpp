@@ -41,9 +41,10 @@ void ConcurrentUnionFind::reset(index_t n) {
 }
 
 index_t ConcurrentUnionFindView::find(index_t x) {
-  // Pointer jumping: parents only ever decrease, so this terminates even
-  // while other threads hook roots.  Writing the grandparent back is a benign
-  // race (all writers store values on the path to the same root).
+  // Pointer jumping.  Under unite, parents only ever decrease, so this
+  // terminates even while other threads hook roots; over a static acyclic
+  // forest every step moves to an ancestor.  Writing the grandparent back is
+  // a benign race (all writers store values on the path to the same root).
   index_t p = std::atomic_ref<index_t>(parent_[x]).load(std::memory_order_relaxed);
   while (p != x) {
     index_t gp = std::atomic_ref<index_t>(parent_[p]).load(std::memory_order_relaxed);

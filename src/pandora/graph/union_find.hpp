@@ -42,10 +42,16 @@ class UnionFind {
 /// out cycles and makes the final representatives (component minima)
 /// identical to the sequential structure no matter how operations interleave.
 ///
-/// The view form exists so allocation-free callers (the contraction loop) can
-/// run union-find over a span leased from the Executor's Workspace; the
-/// caller must initialise the storage to the identity (`parent[x] = x`, see
-/// `reset_singletons`) before the first operation.
+/// The view form exists so allocation-free callers can run union-find over a
+/// span leased from the Executor's Workspace; the caller must initialise the
+/// storage to the identity (`parent[x] = x`, see `reset_singletons`) before
+/// the first operation.
+///
+/// `find` alone is also valid over any acyclic parent forest (roots point to
+/// themselves) as long as no `unite` runs concurrently: path halving only
+/// ever replaces a pointer by an ancestor, so concurrent finds keep the
+/// forest's roots and terminate.  The tree contraction uses it that way, on
+/// the pointer forest of its supervertices.
 class ConcurrentUnionFindView {
  public:
   ConcurrentUnionFindView() = default;
@@ -57,7 +63,8 @@ class ConcurrentUnionFindView {
     for (index_t x = 0; x < size(); ++x) parent_[static_cast<std::size_t>(x)] = x;
   }
 
-  /// Representative of x's component.  Safe to call concurrently with unite.
+  /// Representative of x's component.  Safe to call concurrently with unite,
+  /// and with other finds over a static acyclic forest.
   index_t find(index_t x);
 
   /// Merge the components of a and b.  Safe to call concurrently.

@@ -194,12 +194,8 @@ TEST(ExecReduce, NonCommutativeCombineIsStableAcrossThreadBudgets) {
   }
 }
 
-TEST(ExecAtomics, FetchMaxMinAdd) {
-  index_t slot = 5;
-  exec::atomic_fetch_max(slot, index_t{3});
-  EXPECT_EQ(slot, 5);
-  exec::atomic_fetch_max(slot, index_t{9});
-  EXPECT_EQ(slot, 9);
+TEST(ExecAtomics, FetchMinAdd) {
+  index_t slot = 9;
   exec::atomic_fetch_min(slot, index_t{11});
   EXPECT_EQ(slot, 9);
   exec::atomic_fetch_min(slot, index_t{2});
@@ -208,13 +204,13 @@ TEST(ExecAtomics, FetchMaxMinAdd) {
   EXPECT_EQ(slot, 9);
 }
 
-TEST(ExecAtomics, ConcurrentMaxFindsGlobalMax) {
-  index_t slot = -1;
+TEST(ExecAtomics, ConcurrentMinFindsGlobalMin) {
+  index_t slot = 1000003;
   const size_type n = 1 << 20;
   exec::parallel_for(exec::default_executor(), n, [&](size_type i) {
-    exec::atomic_fetch_max(slot, static_cast<index_t>((i * 2654435761u) % 1000003));
+    exec::atomic_fetch_min(slot, static_cast<index_t>((i * 2654435761u + 1) % 1000003));
   });
-  EXPECT_EQ(slot, 1000002);  // the residue range is fully covered for n > 10^6
+  EXPECT_EQ(slot, 0);  // the residue range is fully covered for n > 10^6
 }
 
 TEST(ExecOrderBits, PreservesOrderForNonNegativeDoubles) {

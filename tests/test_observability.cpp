@@ -343,6 +343,42 @@ TEST(Observability, EmstCountersRecordBoruvkaShape) {
             mreach.rounds * static_cast<std::uint64_t>(m));
 }
 
+TEST(Observability, ContractionCountersRecordHierarchyShape) {
+  // Every edge is contracted exactly once or survives to the final
+  // (α-free) level, so over one hierarchy Σ m - Σ α = n - 1 exactly.
+  struct Shape {
+    std::uint64_t levels, edges, alpha;
+  };
+  obs::Registry& reg = obs::registry();
+  const auto read = [&] {
+    return Shape{reg.counter_value("pandora_contraction_levels_total"),
+                 reg.counter_value("pandora_contraction_edges_total"),
+                 reg.counter_value("pandora_contraction_alpha_edges_total")};
+  };
+  const exec::Executor executor(exec::default_backend(), 4);
+  const auto shape_of = [&](const graph::EdgeList& tree, index_t nv) {
+    const Shape before = read();
+    (void)dendrogram::pandora_dendrogram(executor, tree, nv);
+    const Shape after = read();
+    return Shape{after.levels - before.levels, after.edges - before.edges,
+                 after.alpha - before.alpha};
+  };
+
+  const index_t nv = 20000;
+  const Shape random = shape_of(make_tree(Topology::random_attach, nv, 5, 0), nv);
+  EXPECT_GE(random.levels, 2u);
+  EXPECT_GT(random.alpha, 0u);
+  EXPECT_EQ(random.edges - random.alpha, static_cast<std::uint64_t>(nv - 1));
+
+  // The star with increasing weights is one chain: one level, no α-edge.
+  graph::EdgeList star = data::star_tree(nv);
+  data::assign_increasing_weights(star);
+  const Shape chain = shape_of(star, nv);
+  EXPECT_EQ(chain.levels, 1u);
+  EXPECT_EQ(chain.alpha, 0u);
+  EXPECT_EQ(chain.edges, static_cast<std::uint64_t>(nv - 1));
+}
+
 TEST(Observability, WarmPipelineWithTracingAndMetricsAllocatesNothing) {
   // The composition gate: a steady-state dendrogram build with the metric
   // handles live AND a trace recorder installed (phase spans, run_chunks
