@@ -4,8 +4,12 @@
 // two dendrogram constructions, then asserts that the third (identical) run
 // performs ZERO heap allocations — the sorted-edges cache replays the sort,
 // the contraction/expansion run out of the workspace arena, and the output
-// Dendrogram reuses its capacity.  Exits non-zero on any allocation, so the
-// Release CI job fails if a regression reintroduces per-call allocations.
+// Dendrogram reuses its capacity.  A second measured pass does the same on a
+// serial-backend executor with an explicit `sort_edges_into` +
+// `pandora_dendrogram_into` into reused outputs, so the edge radix sort
+// itself (which the cached pass never runs) is held to the same gate.
+// Exits non-zero on any allocation, so the Release CI job fails if a
+// regression reintroduces per-call allocations.
 
 #include <atomic>
 #include <cstdio>
@@ -68,25 +72,44 @@ int main() {
       Pipeline::on(executor).with_min_pts(2).build_mst(points, tree);
   const auto pipeline = Pipeline::on(executor);
 
+  // Third of three identical runs of `run`: the first sizes the arena, the
+  // second settles OpenMP team state.  Returns false on any allocation.
+  const auto steady_state = [&](const char* label, const exec::Executor& on, auto&& run) {
+    run();
+    run();
+    on.workspace().reset_stats();
+    const std::size_t before = g_allocation_count.load();
+    Timer timer;
+    run();
+    const double seconds = timer.seconds();
+    const std::size_t allocations = g_allocation_count.load() - before;
+    const std::size_t misses = on.workspace().stats().misses;
+    std::printf("n=%d  %s steady-state run: %.1f ms, %zu heap allocations, %zu arena misses\n",
+                n, label, 1e3 * seconds, allocations, misses);
+    return allocations == 0 && misses == 0;
+  };
+
   dendrogram::Dendrogram out;
-  pipeline.build_dendrogram_into(mst, n, out);  // warm-up: sizes the arena
-  pipeline.build_dendrogram_into(mst, n, out);  // settles OpenMP team state
-
-  executor.workspace().reset_stats();
-  const std::size_t before = g_allocation_count.load();
-  Timer timer;
-  pipeline.build_dendrogram_into(mst, n, out);
-  const double seconds = timer.seconds();
-  const std::size_t allocations = g_allocation_count.load() - before;
-  const std::size_t misses = executor.workspace().stats().misses;
-
-  std::printf("n=%d  steady-state run: %.1f ms, %zu heap allocations, %zu arena misses\n",
-              n, 1e3 * seconds, allocations, misses);
+  const bool cached_ok = steady_state(
+      "cached-sort", executor, [&] { pipeline.build_dendrogram_into(mst, n, out); });
   if (out.num_edges != n - 1 || out.parent[0] != kNone) {
     std::printf("FAIL: dendrogram shape is wrong\n");
     return 1;
   }
-  if (allocations != 0 || misses != 0) {
+
+  const exec::Executor serial(exec::serial_backend());
+  dendrogram::SortedEdges sorted;
+  dendrogram::Dendrogram serial_out;
+  const bool sorting_ok = steady_state("serial sort+build", serial, [&] {
+    dendrogram::sort_edges_into(serial, mst, n, sorted);
+    dendrogram::pandora_dendrogram_into(serial, sorted, {}, serial_out);
+  });
+  if (serial_out.parent != out.parent) {
+    std::printf("FAIL: serial dendrogram differs from the cached-sort one\n");
+    return 1;
+  }
+
+  if (!cached_ok || !sorting_ok) {
     std::printf("FAIL: steady-state dendrogram construction must not allocate\n");
     return 1;
   }

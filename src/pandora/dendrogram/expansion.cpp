@@ -97,7 +97,10 @@ void expand_multilevel(const exec::Executor& exec, const ContractionHierarchy& h
   exec.record_phase("expansion", timer.seconds());
 
   timer.reset();
-  exec::radix_sort_u64(exec, packed);
+  // `slot` is an exclusive scan over g, so the low words (edge indices) are
+  // already ascending: a stable sort on the chain-key word alone yields the
+  // (chain, index) order.
+  exec::radix_sort_u64(exec, packed, /*first_byte=*/4, /*last_byte=*/8);
   exec.record_phase("sort", timer.seconds());
 
   timer.reset();
@@ -124,7 +127,9 @@ void expand_single_level(const exec::Executor& exec, const SortedEdges& sorted,
     exec::parallel_for(exec, n, [&](size_type g) {
       packed[static_cast<std::size_t>(g)] = pack(kRootChain, static_cast<index_t>(g));
     });
-    exec::radix_sort_u64(exec, packed);
+    // Entry g sits at position g, so the low words are ascending; the one
+    // constant chain key leaves the key-word sort with no pass to run.
+    exec::radix_sort_u64(exec, packed, /*first_byte=*/4, /*last_byte=*/8);
     stitch_chains(exec, packed, edge_parent);
     exec.record_phase("expansion", timer.seconds());
     return;
@@ -177,7 +182,9 @@ void expand_single_level(const exec::Executor& exec, const SortedEdges& sorted,
           (static_cast<std::uint64_t>(below) << 32) | static_cast<std::uint32_t>(g);
     });
   }
-  exec::radix_sort_u64(exec, packed);
+  // `pos` is an exclusive scan over g, so the low words are already
+  // ascending: a stable sort on the slot word alone yields (slot, index).
+  exec::radix_sort_u64(exec, packed, /*first_byte=*/4, /*last_byte=*/8);
 
   // Stitch the inserted chains and re-hang the α-edges below them.
   // Reads go to the immutable α-dendrogram (`alpha_parent`), writes to the

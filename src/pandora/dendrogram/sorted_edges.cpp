@@ -100,15 +100,9 @@ std::uint32_t low_key_of(const graph::EdgeList& edges, std::uint64_t packed_entr
         exec::descending_weight_key(edges[static_cast<std::size_t>(i)].weight),
         static_cast<index_t>(i));
   });
-  if (exec.parallelize(n)) {
-    // Radix over the key bytes only; stability over the id bytes implements
-    // the ascending-id tie-break (ids were packed in ascending order).
-    exec::radix_sort_u64(exec, packed, /*first_byte=*/4, /*last_byte=*/8);
-  } else {
-    // A full-word sort is equivalent here: among equal key prefixes the low
-    // word is the unique id, so ascending full words = ascending (prefix, id).
-    std::sort(packed.begin(), packed.end());
-  }
+  // Radix over the key bytes only; stability over the id bytes implements
+  // the ascending-id tie-break (ids were packed in ascending order).
+  exec::radix_sort_u64(exec, packed, /*first_byte=*/4, /*last_byte=*/8);
   if (!repair_prefix_collisions(exec, packed, edges)) return false;
   exec::parallel_for(exec, n, [&](size_type i) {
     order[static_cast<std::size_t>(i)] =

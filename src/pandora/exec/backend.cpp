@@ -99,9 +99,11 @@ void Backend::radix_sort_u64(Workspace& workspace, int max_workers,
   std::uint64_t* src = keys.data();
   std::uint64_t* dst = buffer.data();
 
+  int passes = 0;
   for (int pass = first_byte; pass < last_byte; ++pass) {
     const int shift = pass * 8;
     if (((varying >> shift) & 0xff) == 0) continue;
+    ++passes;
 
     auto count = [&](int c) {
       const size_type lo = n * c / num_chunks;
@@ -134,6 +136,9 @@ void Backend::radix_sort_u64(Workspace& workspace, int max_workers,
     run_chunks(num_chunks, max_workers, scatter);
     std::swap(src, dst);
   }
+  // Scatter passes actually run, constant bytes skipped: one add per sort.
+  static obs::Counter& passes_metric = obs::registry().counter("pandora_sort_radix_passes_total");
+  passes_metric.inc(static_cast<std::uint64_t>(passes));
   if (src != keys.data())
     std::memcpy(keys.data(), src, sizeof(std::uint64_t) * static_cast<std::size_t>(n));
 }

@@ -26,9 +26,11 @@
 ///    leaves the ids as the stable tie-break.  This mirrors the paper's
 ///    observation that GPU dendrogram time is dominated by sorts and that
 ///    radix-style sorts are the best-scaling primitive (Figure 12).
-///    The parallel path dispatches to `Backend::radix_sort_u64`, whose
-///    default implementation runs chunked histogram/scatter passes through
-///    `run_chunks`; a device backend overrides it with a native sort.
+///    Every call, whatever its size, runs `Backend::radix_sort_u64`: the
+///    default implementation's chunked histogram/scatter passes go through
+///    `run_chunks`, with one worker (and so inline on the caller) below the
+///    parallel grain or on a single-thread Executor; a device backend
+///    overrides it with a native sort.
 ///
 /// All scratch (ping-pong buffers, per-chunk histograms) is leased from the
 /// Executor's Workspace, so repeated sorts on same-sized inputs allocate
@@ -98,27 +100,12 @@ inline void radix_sort_u64(const Executor& exec, std::span<std::uint64_t> keys,
                            int first_byte = 0, int last_byte = 8) {
   const size_type n = static_cast<size_type>(keys.size());
   if (n < 2) return;
-  if (!exec.parallelize(n)) {
-    if (first_byte == 0 && last_byte >= 8) {
-      std::sort(keys.begin(), keys.end());
-    } else {
-      // Mask to the bytes [first_byte, last_byte) so the serial path orders
-      // exactly like the pass-restricted radix path.
-      const std::uint64_t hi =
-          last_byte >= 8 ? ~std::uint64_t{0} : (std::uint64_t{1} << (8 * last_byte)) - 1;
-      const std::uint64_t mask = hi & (~std::uint64_t{0} << (8 * first_byte));
-      std::stable_sort(keys.begin(), keys.end(), [mask](std::uint64_t a, std::uint64_t b) {
-        return (a & mask) < (b & mask);
-      });
-    }
-    return;
-  }
   // The backend's native sort is one uncancellable kernel from the caller's
   // point of view (its internal run_chunks launches bypass the Executor), so
   // bracket it with explicit checks.
   exec.check_cancellation();
-  exec.backend().radix_sort_u64(exec.workspace(), exec.num_threads(), keys, first_byte,
-                                last_byte);
+  exec.backend().radix_sort_u64(exec.workspace(), exec.parallelize(n) ? exec.num_threads() : 1,
+                                keys, first_byte, last_byte);
   exec.check_cancellation();
 }
 

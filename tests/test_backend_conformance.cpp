@@ -73,27 +73,35 @@ TEST(BackendConformance, ParallelForCoversEveryIndexExactlyOnce) {
 }
 
 TEST(BackendConformance, RadixSortBitIdentityIncludingByteRanges) {
-  Rng rng(7);
-  std::vector<std::uint64_t> input(100000);
-  for (auto& k : input) k = rng.next_u64();
-  // Some equal keys so stability matters.
-  for (std::size_t i = 0; i < input.size(); i += 37) input[i] = input[0];
+  // Every size runs the same radix: the sizes around kParallelForGrain (2048)
+  // cross from the one-worker path to the chunked one inside the 4-thread
+  // OpenMP and pinned executors, and the tiny ones sort with a single chunk.
+  for (const std::size_t n : {std::size_t{2}, std::size_t{3}, std::size_t{255},
+                              std::size_t{2047}, std::size_t{2048}, std::size_t{2049},
+                              std::size_t{100000}}) {
+    Rng rng(7 + n);
+    std::vector<std::uint64_t> input(n);
+    for (auto& k : input) k = rng.next_u64();
+    // Some equal keys so stability matters.
+    for (std::size_t i = 0; i < input.size(); i += 37) input[i] = input[0];
 
-  for (const auto [first_byte, last_byte] :
-       {std::array<int, 2>{0, 8}, std::array<int, 2>{4, 8}, std::array<int, 2>{2, 5}}) {
-    const std::uint64_t hi = last_byte >= 8 ? ~std::uint64_t{0}
-                                            : (std::uint64_t{1} << (8 * last_byte)) - 1;
-    const std::uint64_t mask = hi & (~std::uint64_t{0} << (8 * first_byte));
-    std::vector<std::uint64_t> reference = input;
-    std::stable_sort(reference.begin(), reference.end(),
-                     [mask](std::uint64_t a, std::uint64_t b) { return (a & mask) < (b & mask); });
+    for (const auto [first_byte, last_byte] :
+         {std::array<int, 2>{0, 8}, std::array<int, 2>{4, 8}, std::array<int, 2>{2, 5}}) {
+      const std::uint64_t hi = last_byte >= 8 ? ~std::uint64_t{0}
+                                              : (std::uint64_t{1} << (8 * last_byte)) - 1;
+      const std::uint64_t mask = hi & (~std::uint64_t{0} << (8 * first_byte));
+      std::vector<std::uint64_t> reference = input;
+      std::stable_sort(
+          reference.begin(), reference.end(),
+          [mask](std::uint64_t a, std::uint64_t b) { return (a & mask) < (b & mask); });
 
-    for (const auto& backend : conformance_backends()) {
-      const exec::Executor executor = executor_on(backend);
-      std::vector<std::uint64_t> keys = input;
-      exec::radix_sort_u64(executor, keys, first_byte, last_byte);
-      EXPECT_EQ(keys, reference)
-          << backend->name() << " bytes [" << first_byte << ", " << last_byte << ")";
+      for (const auto& backend : conformance_backends()) {
+        const exec::Executor executor = executor_on(backend);
+        std::vector<std::uint64_t> keys = input;
+        exec::radix_sort_u64(executor, keys, first_byte, last_byte);
+        EXPECT_EQ(keys, reference) << backend->name() << " n=" << n << " bytes [" << first_byte
+                                   << ", " << last_byte << ")";
+      }
     }
   }
 }

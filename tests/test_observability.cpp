@@ -10,12 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "pandora/data/point_generators.hpp"
 #include "pandora/dendrogram/pandora.hpp"
+#include "pandora/exec/sort.hpp"
 #include "pandora/hdbscan/core_distance.hpp"
 #include "pandora/obs/metrics.hpp"
 #include "pandora/obs/trace.hpp"
@@ -377,6 +380,63 @@ TEST(Observability, ContractionCountersRecordHierarchyShape) {
   EXPECT_EQ(chain.levels, 1u);
   EXPECT_EQ(chain.alpha, 0u);
   EXPECT_EQ(chain.edges, static_cast<std::uint64_t>(nv - 1));
+}
+
+TEST(Observability, RadixPassCounterRecordsScatterPassesRun) {
+  // One add per sort of the scatter passes actually run: bytes that are
+  // constant across the keys cost nothing, whatever the size or executor.
+  obs::Registry& reg = obs::registry();
+  const auto passes_of = [&](auto&& sort) {
+    const std::uint64_t before = reg.counter_value("pandora_sort_radix_passes_total");
+    sort();
+    return reg.counter_value("pandora_sort_radix_passes_total") - before;
+  };
+  Rng rng(3);
+  for (const int threads : {1, 4}) {
+    const exec::Executor executor(exec::default_backend(), threads);
+    for (const std::size_t n : {std::size_t{300}, std::size_t{20000}}) {
+      std::vector<std::uint64_t> low(n), full(n);
+      for (auto& k : low) k = rng.next_u64() & 0xffffffu;  // bytes 0-2 only
+      for (auto& k : full) k = rng.next_u64();
+      EXPECT_EQ(passes_of([&] { exec::radix_sort_u64(executor, low, 4, 8); }), 0u)
+          << threads << " threads, n=" << n;
+      EXPECT_EQ(passes_of([&] { exec::radix_sort_u64(executor, full); }), 8u)
+          << threads << " threads, n=" << n;
+      EXPECT_TRUE(std::is_sorted(full.begin(), full.end()));
+    }
+
+    // The increasing-weight star is one root chain: from pre-sorted edges
+    // the only sort is the chain sort, whose single key word never varies.
+    const index_t nv = 5000;
+    graph::EdgeList star = data::star_tree(nv);
+    data::assign_increasing_weights(star);
+    const dendrogram::SortedEdges sorted = dendrogram::sort_edges(executor, star, nv);
+    for (const auto policy :
+         {dendrogram::ExpansionPolicy::multilevel, dendrogram::ExpansionPolicy::single_level}) {
+      EXPECT_EQ(passes_of([&] {
+                  (void)dendrogram::pandora_dendrogram(executor, sorted, {.expansion = policy});
+                }),
+                0u)
+          << threads << " threads";
+    }
+  }
+
+  // Recording stays allocation-free: a warm sort adds to the counter
+  // without touching the heap.
+  const exec::Executor executor(exec::default_backend(), 1);
+  std::vector<std::uint64_t> keys(5000);
+  const auto refill = [&] {
+    Rng fill(9);
+    for (auto& k : keys) k = fill.next_u64();
+  };
+  refill();
+  exec::radix_sort_u64(executor, keys);  // warm: sizes the arena
+  refill();
+  const std::uint64_t before = reg.counter_value("pandora_sort_radix_passes_total");
+  const AllocationCounterScope scope;
+  exec::radix_sort_u64(executor, keys);
+  EXPECT_EQ(scope.count(), 0u) << "radix pass recording must be allocation-free";
+  EXPECT_EQ(reg.counter_value("pandora_sort_radix_passes_total") - before, 8u);
 }
 
 TEST(Observability, WarmPipelineWithTracingAndMetricsAllocatesNothing) {

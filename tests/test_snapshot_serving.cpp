@@ -252,7 +252,9 @@ TEST(SnapshotServing, PipelineOnSnapshotFrontDoor) {
 // Writers never block readers, witnessed structurally: a reader query that
 // refuses to finish until the wave's own update has published can only
 // complete because the update runs concurrently with the queries (the
-// legacy exclusive-wave driver would deadlock here).
+// legacy exclusive-wave driver would deadlock here).  The update waits for
+// the query to pin its snapshot first: a query admitted only after the
+// publish would pin the successor epoch, which the contract allows.
 TEST(SnapshotServing, SnapshotWaveUpdatesRunConcurrentlyWithQueries) {
   const exec::Executor writer_exec(exec::serial_backend());
   snapshot::PublishedClustering published(writer_exec);
@@ -263,9 +265,11 @@ TEST(SnapshotServing, SnapshotWaveUpdatesRunConcurrentlyWithQueries) {
   serve::BatchExecutor batch(parent, {.num_slots = 2});
 
   std::atomic<int> queries_ran{0};
+  std::atomic<bool> query_pinned{false};
   std::vector<serve::BatchExecutor::SnapshotWave> waves(1);
   waves[0].queries.push_back(serve::BatchExecutor::SnapshotJob{
       [&](const exec::Executor& exec, const snapshot::Snapshot& snap) {
+        query_pinned.store(true);
         // The pinned epoch stays valid and queryable throughout...
         (void)snap.hdbscan(exec, stress_options());
         // ...while we wait for the concurrent update's publish to land.
@@ -274,7 +278,8 @@ TEST(SnapshotServing, SnapshotWaveUpdatesRunConcurrentlyWithQueries) {
         queries_ran.fetch_add(1);
       },
       /*size_hint=*/16});
-  waves[0].update = [](snapshot::PublishedClustering& stream) {
+  waves[0].update = [&](snapshot::PublishedClustering& stream) {
+    while (!query_pinned.load()) std::this_thread::yield();
     stream.insert(data::gaussian_blobs(40, 2, 3, 0.05, 0.1, 18));
   };
   batch.run_waves(published, waves);
