@@ -55,6 +55,7 @@ struct PreparedDataset {
   std::shared_ptr<spatial::PointSet> points;
   std::unique_ptr<spatial::KdTree> tree;  ///< built over *points
   std::vector<double> core;               ///< core distances at min_pts
+  std::vector<index_t> round1_seed;       ///< certified Borůvka round-1 seeds
   graph::EdgeList mst;
   double tree_build_seconds = 0;
   double core_seconds = 0;
@@ -73,13 +74,18 @@ inline PreparedDataset prepare_dataset(const std::string& name, index_t n, int m
   prepared.tree = std::make_unique<spatial::KdTree>(*prepared.points);
   prepared.tree_build_seconds = timer.seconds();
 
+  // The core-distance pass certifies round-1 Borůvka seeds, and the MST
+  // takes them: the same path `hdbscan()` runs.
   timer.reset();
-  prepared.core = hdbscan::core_distances(exec, *prepared.points, *prepared.tree, min_pts);
+  hdbscan::CoreDistances core =
+      hdbscan::core_distances_with_seeds(exec, *prepared.points, *prepared.tree, min_pts);
+  prepared.core = std::move(core.values);
+  prepared.round1_seed = std::move(core.round1_seed);
   prepared.core_seconds = timer.seconds();
 
   timer.reset();
-  prepared.mst =
-      spatial::mutual_reachability_mst(exec, *prepared.points, *prepared.tree, prepared.core);
+  prepared.mst = spatial::mutual_reachability_mst(exec, *prepared.points, *prepared.tree,
+                                                  prepared.core, prepared.round1_seed);
   prepared.mst_seconds = timer.seconds();
   return prepared;
 }

@@ -71,9 +71,11 @@ int main() {
     parallel_executor.set_edge_sort_algorithm(exec::EdgeSortAlgorithm::radix);
     // The EMST phase on its own, edge sort excluded: this is the column the
     // SoA/SIMD distance kernels move (Borůvka leaf scans are its hot loop).
+    // It takes the round-1 seeds, as `hdbscan()` does.
     const bench::Measurement m_emst = bench::measure(3, [&] {
       (void)spatial::mutual_reachability_mst(parallel_executor, *prepared.points,
-                                             *prepared.tree, prepared.core);
+                                             *prepared.tree, prepared.core,
+                                             prepared.round1_seed);
     });
 
     const double t_uf = m_uf.best();

@@ -24,16 +24,16 @@ PhaseSeconds run_pipeline(const std::string& name, index_t n, std::shared_ptr<co
   const exec::Executor executor(space);
   const bench::PreparedDataset prepared = bench::prepare_dataset(name, n, 2, executor);
   out.mst = prepared.mst_seconds;
-  // The profiler hook replaces the old PhaseTimes* out-param plumbing.
-  exec::PhaseTimesProfiler profiler;
-  executor.set_profiler(&profiler);
-  Timer timer;
-  (void)Pipeline::on(executor).build_dendrogram(prepared.mst, prepared.n);
-  out.dendrogram = timer.seconds();
-  executor.set_profiler(nullptr);
-  out.sort = profiler.times().get("sort");
-  out.contraction = profiler.times().get("contraction");
-  out.expansion = profiler.times().get("expansion");
+  PhaseTimes times;
+  {
+    const exec::ScopedPhaseTimes scope(executor, &times);
+    Timer timer;
+    (void)Pipeline::on(executor).build_dendrogram(prepared.mst, prepared.n);
+    out.dendrogram = timer.seconds();
+  }
+  out.sort = times.get("sort");
+  out.contraction = times.get("contraction");
+  out.expansion = times.get("expansion");
   return out;
 }
 

@@ -22,13 +22,13 @@ int main() {
     const index_t n = bench::scaled(400000);
     const exec::Executor executor(exec::default_backend());
     const bench::PreparedDataset prepared = bench::prepare_dataset(name, n, 2, executor);
-    exec::PhaseTimesProfiler profiler;
-    executor.set_profiler(&profiler);
-    const auto pipeline = Pipeline::on(executor);
-    for (int repeat = 0; repeat < 5; ++repeat)  // accumulate to smooth noise
-      (void)pipeline.build_dendrogram(prepared.mst, prepared.n);
-    executor.set_profiler(nullptr);
-    const PhaseTimes& times = profiler.times();
+    PhaseTimes times;
+    {
+      const exec::ScopedPhaseTimes scope(executor, &times);
+      const auto pipeline = Pipeline::on(executor);
+      for (int repeat = 0; repeat < 5; ++repeat)  // accumulate to smooth noise
+        (void)pipeline.build_dendrogram(prepared.mst, prepared.n);
+    }
     const double sort = times.get("sort");
     const double contraction = times.get("contraction");
     const double expansion = times.get("expansion");

@@ -6,8 +6,8 @@
 
 namespace pandora {
 
-/// Monotonic wall-clock stopwatch used by the benchmark harness and the
-/// phase instrumentation inside the dendrogram driver.
+/// Monotonic wall-clock stopwatch used by the benchmark harness and by
+/// `exec::Executor::phase`.
 class Timer {
  public:
   Timer() : start_(clock::now()) {}
@@ -26,8 +26,9 @@ class Timer {
 };
 
 /// Accumulates named phase timings (sort, contraction, expansion, ...).
-/// The paper reports per-phase breakdowns in Figures 12 and 13; every
-/// algorithm driver fills one of these so benches can print them directly.
+/// The paper reports per-phase breakdowns in Figures 12 and 13; the drivers
+/// time their phases through `exec::Executor::phase`, and an
+/// `exec::ScopedPhaseTimes` collects them into one of these.
 class PhaseTimes {
  public:
   void add(const std::string& phase, double seconds) { seconds_[phase] += seconds; }
@@ -48,13 +49,5 @@ class PhaseTimes {
  private:
   std::map<std::string, double> seconds_;
 };
-
-/// Runs `f()` and records its duration under `phase`.
-template <class F>
-void timed_phase(PhaseTimes& times, const std::string& phase, F&& f) {
-  Timer t;
-  f();
-  times.add(phase, t.seconds());
-}
 
 }  // namespace pandora

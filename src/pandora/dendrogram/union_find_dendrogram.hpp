@@ -19,7 +19,7 @@ namespace pandora::dendrogram {
 /// which is precisely the parallelisation obstacle PANDORA removes
 /// (Section 2.3.2).
 ///
-/// Phases recorded with the Executor's profiler: "sort" (EdgeList overload),
+/// Phases timed through `Executor::phase`: "sort" (EdgeList overload),
 /// "dendrogram".
 [[nodiscard]] Dendrogram union_find_dendrogram(const exec::Executor& exec,
                                                const SortedEdges& sorted);

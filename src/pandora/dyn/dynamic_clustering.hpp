@@ -116,8 +116,10 @@ struct ArtifactBundle {
 /// the LRU.  Repeated `hdbscan()` calls within one epoch replay from the
 /// cache.
 ///
-/// Not thread-safe (one Executor, one writer); the serving integration runs
-/// updates exclusively between query waves (`serve::BatchExecutor::run_waves`).
+/// Not thread-safe (one Executor, one writer).  To serve reads while it
+/// updates, wrap it in `snapshot::PublishedClustering`: readers pin immutable
+/// snapshots, and `serve::BatchExecutor::run_waves` runs query waves beside
+/// the writer.
 class DynamicClustering {
  public:
   explicit DynamicClustering(const exec::Executor& exec, DynamicOptions options = {});

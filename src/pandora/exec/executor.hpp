@@ -9,6 +9,7 @@
 #include <mutex>
 #include <new>
 #include <span>
+#include <string>
 #include <string_view>
 #include <type_traits>
 #include <typeinfo>
@@ -35,14 +36,14 @@
 /// pool, extensible to a device backend — see backend.hpp), (b) a thread
 /// budget, (c) a reusable `Workspace` arena — allocating through the
 /// backend's `MemoryResource` — that amortises scratch-buffer allocations
-/// across repeated dendrogram / HDBSCAN* calls on same-sized inputs, (d) an
-/// optional `Profiler` hook that subsumes the old `PhaseTimes*`
-/// out-parameters, (e) the edge-sort algorithm selection (key-packed radix
-/// by default, comparison merge as the fallback), and (f) an `ArtifactCache`
-/// that lets upper layers reuse derived artifacts (e.g. the canonical
-/// SortedEdges of an MST) across calls.  Every kernel takes a
-/// `const Executor&`.  (The old two-value `Space` enum and its bare-`Space`
-/// shims are fully retired; see the README migration table.)
+/// across repeated dendrogram / HDBSCAN* calls on same-sized inputs, (d) the
+/// phase seam `phase()`, which times the drivers' phases into any open
+/// `ScopedPhaseTimes` and the installed trace recorder, (e) the edge-sort
+/// algorithm selection (key-packed radix by default, comparison merge as the
+/// fallback), and (f) an `ArtifactCache` that lets upper layers reuse derived
+/// artifacts (e.g. the canonical SortedEdges of an MST) across calls.  Every
+/// kernel takes a `const Executor&`.  (The old two-value `Space` enum and its
+/// bare-`Space` shims are fully retired; see the README migration table.)
 namespace pandora::exec {
 
 /// Below this trip count per-kernel dispatch overhead dominates; kernels run
@@ -585,54 +586,28 @@ class ArtifactCache {
   std::atomic<std::size_t> tenant_quota_{0};
 };
 
-/// Receives per-phase timings from the library's drivers ("sort",
-/// "contraction", "expansion", "mst", ...).  Attach one to an Executor to
-/// observe a pipeline; this subsumes the old `PhaseTimes*` out-parameters.
-class Profiler {
+class Executor;
+
+/// Scope guard collecting phase seconds into `times` for its lifetime: every
+/// `Executor::phase` run on `executor` inside the scope adds its duration
+/// under the phase name ("sort", "contraction", "expansion", "mst", ...).
+/// Scopes nest: a phase reaches every scope open on the executor, and the
+/// guard reinstates the enclosing scope on exit.  A null `times` makes the
+/// guard a no-op.  PhaseTimes is unsynchronised, so a scope is bound to one
+/// executor, which runs one kernel at a time; concurrent executors (batch
+/// slots) each need their own scope.
+class ScopedPhaseTimes {
  public:
-  virtual ~Profiler() = default;
-  virtual void on_phase(std::string_view phase, double seconds) = 0;
-};
-
-/// A Profiler accumulating into a PhaseTimes (owned or external), optionally
-/// chaining to another profiler so nested scopes all observe the phases.
-///
-/// Single-thread contract: PhaseTimes is a plain std::map, so `on_phase`
-/// must never run concurrently with itself — attach one PhaseTimesProfiler
-/// to one executor at a time and never share it across batch-slot executors
-/// running in parallel (each slot gets its own, or none).  Sequential use
-/// from different threads (e.g. a batch that runs jobs one after another on
-/// worker threads) is fine.  Violations are detected with a busy flag and
-/// fail loudly (std::invalid_argument) instead of racing the map.
-class PhaseTimesProfiler final : public Profiler {
- public:
-  PhaseTimesProfiler() = default;
-  explicit PhaseTimesProfiler(PhaseTimes* sink, Profiler* next = nullptr)
-      : sink_(sink), next_(next) {}
-
-  void on_phase(std::string_view phase, double seconds) override {
-    PANDORA_EXPECT(!busy_.exchange(true, std::memory_order_acquire),
-                   "PhaseTimesProfiler::on_phase called from two threads at once; "
-                   "PhaseTimes is unsynchronized — give each concurrent executor "
-                   "its own profiler");
-    struct Unbusy {
-      std::atomic<bool>& flag;
-      ~Unbusy() { flag.store(false, std::memory_order_release); }
-    } unbusy{busy_};
-    times().add(std::string(phase), seconds);
-    if (next_ != nullptr) next_->on_phase(phase, seconds);
-  }
-
-  [[nodiscard]] PhaseTimes& times() noexcept { return sink_ != nullptr ? *sink_ : own_; }
-  [[nodiscard]] const PhaseTimes& times() const noexcept {
-    return sink_ != nullptr ? *sink_ : own_;
-  }
+  ScopedPhaseTimes(const Executor& executor, PhaseTimes* times);
+  ScopedPhaseTimes(const ScopedPhaseTimes&) = delete;
+  ScopedPhaseTimes& operator=(const ScopedPhaseTimes&) = delete;
+  ~ScopedPhaseTimes();
 
  private:
-  PhaseTimes own_;
-  PhaseTimes* sink_ = nullptr;
-  Profiler* next_ = nullptr;
-  std::atomic<bool> busy_{false};  ///< concurrent-misuse detector (see above)
+  friend class Executor;
+  const Executor& executor_;
+  PhaseTimes* times_;
+  const ScopedPhaseTimes* outer_;  ///< the enclosing scope, or nullptr
 };
 
 /// Which algorithm runs the initial descending-(weight, id) edge sort of
@@ -648,10 +623,10 @@ enum class EdgeSortAlgorithm {
 ///
 /// Cheap to construct, but meant to be constructed once and reused: the
 /// workspace arena and artifact cache only pay off across repeated calls.
-/// The workspace, profiler, cache and algorithm selections are logically part
-/// of the execution *context*, not the kernel inputs, so they are mutable
-/// behind the const interface (exactly like Kokkos execution-space instances,
-/// whose scratch arenas are mutable too).
+/// The workspace, phase scopes, cache and algorithm selections are logically
+/// part of the execution *context*, not the kernel inputs, so they are
+/// mutable behind the const interface (exactly like Kokkos execution-space
+/// instances, whose scratch arenas are mutable too).
 ///
 /// Not thread-safe: do not run two kernels on the same Executor concurrently
 /// (parallelism happens inside kernels, governed by `num_threads`).
@@ -729,7 +704,7 @@ class Executor {
   /// ArtifactCache::Owner).  Defaults to untagged; the snapshot tier sets the
   /// pin group for the duration of a pinned read, the batch serving layer
   /// sets the tenant for the duration of a job.  Mutable behind const like
-  /// the profiler: it is execution *context*, not kernel input.
+  /// the workspace: it is execution *context*, not kernel input.
   [[nodiscard]] ArtifactCache::Owner cache_owner() const noexcept { return cache_owner_; }
   void set_cache_owner(ArtifactCache::Owner owner) const noexcept { cache_owner_ = owner; }
 
@@ -748,7 +723,7 @@ class Executor {
   /// The installed cancellation token (nullptr = not cancellable).
   /// Non-owning; the token must outlive its installation.  Installed via
   /// `ScopedCancellation` by the Pipeline / batch layers; mutable behind
-  /// const like the profiler — it is execution context, not kernel input.
+  /// const like the workspace — it is execution context, not kernel input.
   [[nodiscard]] const CancellationToken* cancellation_token() const noexcept {
     return cancellation_;
   }
@@ -795,47 +770,44 @@ class Executor {
     if (token->cancelled()) throw_cancelled(*token);
   }
 
-  /// The attached profiler, or nullptr.  Non-owning.
-  [[nodiscard]] Profiler* profiler() const noexcept { return profiler_; }
-  void set_profiler(Profiler* profiler) const noexcept { profiler_ = profiler; }
-
   /// The attached trace recorder, or nullptr (tracing off).  Non-owning;
-  /// installed via `ScopedTrace`, mutable behind const like the profiler.
+  /// installed via `ScopedTrace`, mutable behind const like the workspace.
   /// When set, `phase` and `run_chunks` record spans into it.
   [[nodiscard]] obs::TraceRecorder* trace_recorder() const noexcept { return trace_; }
   void set_trace_recorder(obs::TraceRecorder* recorder) const noexcept { trace_ = recorder; }
 
-  /// Record a phase duration with the attached profiler (no-op when none).
-  void record_phase(std::string_view phase, double seconds) const {
-    if (profiler_ != nullptr) profiler_->on_phase(phase, seconds);
-  }
-
-  /// Run `f()` and record its duration under `phase`: with the attached
-  /// profiler as a phase time, with the attached trace recorder as a span.
-  /// With neither attached this is one branch around `f()`.
+  /// Run `f()` and record its duration under `phase_name`: into every open
+  /// `ScopedPhaseTimes` on this executor, and as a span with the installed
+  /// trace recorder.  This is the one way a library driver times a phase;
+  /// with neither installed it is one branch around `f()`.
   template <class F>
   void phase(std::string_view phase_name, F&& f) const {
-    if (profiler_ == nullptr && trace_ == nullptr) {
+    if (phase_times_ == nullptr && trace_ == nullptr) {
       f();
       return;
     }
     obs::TraceRecorder* const recorder = trace_;
     const std::uint64_t span_start = recorder != nullptr ? recorder->now_ns() : 0;
-    Timer timer;
+    const Timer timer;
     f();
     const double seconds = timer.seconds();
     if (recorder != nullptr) recorder->record(phase_name, span_start, recorder->now_ns());
-    if (profiler_ != nullptr) profiler_->on_phase(phase_name, seconds);
+    if (phase_times_ == nullptr) return;
+    const std::string key(phase_name);
+    for (const ScopedPhaseTimes* scope = phase_times_; scope != nullptr; scope = scope->outer_)
+      scope->times_->add(key, seconds);
   }
 
  private:
+  friend class ScopedPhaseTimes;
+
   std::shared_ptr<const Backend> backend_;
   int requested_threads_;
   mutable Workspace workspace_;
   mutable ArtifactCache artifact_cache_;
   mutable ArtifactCache* shared_cache_ = nullptr;
   mutable ArtifactCache::Owner cache_owner_{};
-  mutable Profiler* profiler_ = nullptr;
+  mutable const ScopedPhaseTimes* phase_times_ = nullptr;  ///< innermost open scope
   mutable obs::TraceRecorder* trace_ = nullptr;
   mutable EdgeSortAlgorithm edge_sort_ = EdgeSortAlgorithm::radix;
   mutable bool artifact_caching_ = true;
@@ -853,10 +825,15 @@ class Executor {
 /// singletons of backend.hpp always do).
 [[nodiscard]] const Executor& default_executor(const std::shared_ptr<const Backend>& backend);
 
-/// Scope guard bridging the old `PhaseTimes*` out-params to the profiler
-/// hook: installs a PhaseTimesProfiler writing to `times` (chained to any
-/// profiler already attached) for the guard's lifetime.  With a null `times`
-/// the guard does nothing.
+inline ScopedPhaseTimes::ScopedPhaseTimes(const Executor& executor, PhaseTimes* times)
+    : executor_(executor), times_(times), outer_(executor.phase_times_) {
+  if (times_ != nullptr) executor_.phase_times_ = this;
+}
+
+inline ScopedPhaseTimes::~ScopedPhaseTimes() {
+  if (times_ != nullptr) executor_.phase_times_ = outer_;
+}
+
 /// Scope guard installing a cache-owner tag on an executor for the duration
 /// of a scope (a pinned snapshot read, a tenant's batch job), restoring the
 /// previous tag on exit so nested scopes compose.
@@ -941,22 +918,6 @@ class ScopedSpan {
   obs::TraceRecorder* recorder_;
   std::string_view name_;
   std::uint64_t start_ns_;
-};
-
-class ScopedPhaseTimes {
- public:
-  ScopedPhaseTimes(const Executor& executor, PhaseTimes* times)
-      : executor_(executor), saved_(executor.profiler()), adapter_(times, executor.profiler()) {
-    if (times != nullptr) executor_.set_profiler(&adapter_);
-  }
-  ScopedPhaseTimes(const ScopedPhaseTimes&) = delete;
-  ScopedPhaseTimes& operator=(const ScopedPhaseTimes&) = delete;
-  ~ScopedPhaseTimes() { executor_.set_profiler(saved_); }
-
- private:
-  const Executor& executor_;
-  Profiler* saved_;
-  PhaseTimesProfiler adapter_;
 };
 
 }  // namespace pandora::exec

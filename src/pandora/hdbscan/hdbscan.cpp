@@ -34,9 +34,9 @@ HdbscanResult hdbscan_with_fingerprint(const exec::Executor& exec,
                                        std::optional<std::uint64_t> points_fp) {
   PANDORA_EXPECT(points.size() > 0, "need at least one point");
   HdbscanResult result;
-  // Capture every phase in result.times, chaining to any profiler the caller
-  // attached to the executor (so both observers see the same breakdown).
-  exec::ScopedPhaseTimes scope(exec, &result.times);
+  // Capture every phase in result.times; any scope the caller opened on the
+  // executor sees the same breakdown.
+  const exec::ScopedPhaseTimes scope(exec, &result.times);
 
   // The kd-tree and per-mpts core distances go through the Executor's
   // ArtifactCache: repeated queries against one point set (and mpts sweeps,
@@ -46,40 +46,38 @@ HdbscanResult hdbscan_with_fingerprint(const exec::Executor& exec,
   if (exec.artifact_caching() && !points_fp)
     points_fp = spatial::point_set_fingerprint(exec, points);
 
-  Timer timer;
-  const std::shared_ptr<const spatial::KdTree> tree =
-      spatial::kdtree_cached(exec, points, 32, points_fp);
-  exec.record_phase("tree_build", timer.seconds());
+  std::shared_ptr<const spatial::KdTree> tree;
+  exec.phase("tree_build", [&] { tree = spatial::kdtree_cached(exec, points, 32, points_fp); });
 
   // The core-distance pass also certifies round-1 Borůvka candidates; the
   // seeds ride in the cached artifact (or, uncached, live until the MST).
-  timer.reset();
   std::shared_ptr<const CoreDistances> core;
-  if (exec.artifact_caching()) {
-    core = core_distances_cached(exec, points, *tree, options.min_pts, points_fp);
-    result.core_distances = core->values;
-  } else {
-    auto fresh = std::make_shared<CoreDistances>(
-        core_distances_with_seeds(exec, points, *tree, options.min_pts));
-    result.core_distances = std::move(fresh->values);
-    core = std::move(fresh);
-  }
-  exec.record_phase("core_distance", timer.seconds());
+  exec.phase("core_distance", [&] {
+    if (exec.artifact_caching()) {
+      core = core_distances_cached(exec, points, *tree, options.min_pts, points_fp);
+      result.core_distances = core->values;
+    } else {
+      auto fresh = std::make_shared<CoreDistances>(
+          core_distances_with_seeds(exec, points, *tree, options.min_pts));
+      result.core_distances = std::move(fresh->values);
+      core = std::move(fresh);
+    }
+  });
 
-  timer.reset();
-  if (exec.artifact_caching()) {
-    const std::shared_ptr<const graph::EdgeList> mst = spatial::mutual_reachability_mst_cached(
-        exec, points, *tree, result.core_distances, options.min_pts, points_fp,
-        core->round1_seed);
-    // Copy-out is the price of keeping HdbscanResult::mst a plain value: one
-    // O(E) memcpy, well under a millesimal of the Borůvka build it replaces
-    // on a warm hit.
-    result.mst = *mst;
-  } else {
-    result.mst = spatial::mutual_reachability_mst(exec, points, *tree, result.core_distances,
-                                                  core->round1_seed);
-  }
-  exec.record_phase("mst", timer.seconds());
+  exec.phase("mst", [&] {
+    if (exec.artifact_caching()) {
+      const std::shared_ptr<const graph::EdgeList> mst = spatial::mutual_reachability_mst_cached(
+          exec, points, *tree, result.core_distances, options.min_pts, points_fp,
+          core->round1_seed);
+      // Copy-out is the price of keeping HdbscanResult::mst a plain value: one
+      // O(E) memcpy, well under a millesimal of the Borůvka build it replaces
+      // on a warm hit.
+      result.mst = *mst;
+    } else {
+      result.mst = spatial::mutual_reachability_mst(exec, points, *tree, result.core_distances,
+                                                    core->round1_seed);
+    }
+  });
 
   if (options.dendrogram_algorithm == DendrogramAlgorithm::pandora) {
     result.dendrogram = dendrogram::pandora_dendrogram(exec, result.mst, points.size());
@@ -90,11 +88,11 @@ HdbscanResult hdbscan_with_fingerprint(const exec::Executor& exec,
   result.condensed_tree =
       build_condensed_tree(exec, result.dendrogram, options.min_cluster_size);
 
-  timer.reset();
-  FlatClustering flat = extract_with(result.condensed_tree, options);
-  result.labels = std::move(flat.labels);
-  result.num_clusters = flat.num_clusters;
-  exec.record_phase("extract", timer.seconds());
+  exec.phase("extract", [&] {
+    FlatClustering flat = extract_with(result.condensed_tree, options);
+    result.labels = std::move(flat.labels);
+    result.num_clusters = flat.num_clusters;
+  });
   return result;
 }
 

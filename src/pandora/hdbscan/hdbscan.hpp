@@ -39,9 +39,11 @@ struct HdbscanResult {
   CondensedTree condensed_tree;
   std::vector<index_t> labels;            ///< per point; kNone = noise
   index_t num_clusters = 0;
-  /// Phases: "core_distance", "mst", "sort"/"contraction"/"expansion" (or
-  /// "dendrogram" for the union-find baseline), "condense", "extract".
-  /// Also forwarded to any Profiler attached to the Executor.
+  /// Phases: "tree_build", "core_distance", "mst",
+  /// "sort"/"contraction"/"expansion" (or "sort"/"dendrogram" for the
+  /// union-find baseline), "condense", "extract".  Every
+  /// `exec::ScopedPhaseTimes` the caller opened on the Executor sees them
+  /// too.
   PhaseTimes times;
 };
 

@@ -6,6 +6,7 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -15,7 +16,6 @@
 #include "pandora/exec/executor.hpp"
 #include "pandora/graph/edge.hpp"
 #include "pandora/hdbscan/hdbscan.hpp"
-#include "pandora/snapshot/epoch_gate.hpp"
 #include "pandora/snapshot/published_clustering.hpp"
 #include "pandora/snapshot/snapshot.hpp"
 #include "pandora/spatial/point_set.hpp"
@@ -189,53 +189,21 @@ class BatchExecutor {
     const exec::CancellationToken* cancellation = nullptr;
   };
 
-  /// Runs every job to completion.  Small jobs execute concurrently: worker
+  /// Runs every job to completion under the configured `QosPolicy` — the one
+  /// generic way to submit work.  Small jobs execute concurrently: worker
   /// threads (one per slot) pull them from a shared queue, so slots stay
   /// busy regardless of how job costs vary.  Large jobs execute on the
   /// calling thread against the parent executor, one at a time —
   /// overlapping the small drain by default (BatchOptions::overlap_phases).
-  /// If jobs threw (or were cancelled or shed), the first failure (in job
-  /// order) is rethrown after every job has settled; the remaining jobs
-  /// still ran.  Prefer `run_jobs` when per-job outcomes matter.
-  void run(std::span<Job> jobs);
-
-  /// Runs the batch under the configured `QosPolicy` and reports a
-  /// structured outcome per job (index-aligned with `jobs`) instead of
-  /// first-exception-wins: `ok` jobs completed, `cancelled` jobs unwound
-  /// with `pandora::Cancelled` (their partial work discarded, their slot
-  /// arena intact), `shed` jobs were rejected at admission — batch budget
-  /// already spent, or oversized under pressure — and `failed` jobs threw.
-  /// One poisoned / slow / oversized query can therefore never abort its
-  /// batchmates *or* hide their results.  Never throws for job failures.
-  [[nodiscard]] std::vector<JobResult> run_jobs(std::span<Job> jobs);
-
-  /// A wave of a streaming workload: a batch of queries, then an optional
-  /// exclusive update applied before the next wave.  The update runs on the
-  /// calling thread against the parent executor after every query of the
-  /// wave has settled and before any query of the next wave starts, so it
-  /// may mutate state the queries read (e.g. a dyn::DynamicClustering whose
-  /// dendrogram the queries condense) without further synchronisation.
-  struct Wave {
-    std::vector<Job> queries;
-    std::function<void(const exec::Executor&)> update;  ///< may be empty
-  };
-
-  /// Runs waves in order: queries of wave i (concurrently, as `run`), then
-  /// wave i's update (exclusively).  Query exceptions are isolated per
-  /// wave: the wave's update and the remaining waves still run, and the
-  /// first query exception (in wave order) is rethrown after the final
-  /// wave.  An update exception aborts the remaining waves (the stream
-  /// state is no longer trustworthy) and propagates immediately — it
-  /// supersedes any pending query exception, which is then not reported.
   ///
-  /// Updates run through the executor's `snapshot::EpochGate`: every `run`
-  /// (from any thread) holds the gate's shared section, every wave update
-  /// its exclusive section — so a query batch admitted concurrently with a
-  /// pending update can never observe a half-applied epoch, by construction
-  /// rather than by caller sequencing.  This is the compatibility path; new
-  /// code should prefer the snapshot-backed overload below, where updates
-  /// do not block queries at all.
-  void run_waves(std::span<Wave> waves);
+  /// Reports a structured outcome per job (index-aligned with `jobs`)
+  /// instead of first-exception-wins: `ok` jobs completed, `cancelled` jobs
+  /// unwound with `pandora::Cancelled` (their partial work discarded, their
+  /// slot arena intact), `shed` jobs were rejected at admission — batch
+  /// budget already spent, or oversized under pressure — and `failed` jobs
+  /// threw.  One poisoned / slow / oversized query can therefore never abort
+  /// its batchmates *or* hide their results.  Never throws for job failures.
+  [[nodiscard]] std::vector<JobResult> run_jobs(std::span<Job> jobs);
 
   /// A wave of the snapshot-backed streaming workload: queries against
   /// pinned snapshots of `published`, plus an optional update that runs
@@ -256,11 +224,18 @@ class BatchExecutor {
     std::function<void(snapshot::PublishedClustering&)> update;
   };
 
-  /// The snapshot-backed wave driver: wave i's queries run batched (as
-  /// `run`) while wave i's update mutates and publishes concurrently —
+  /// The wave driver of the serving tier: wave i's queries run batched (as
+  /// `run_jobs`) while wave i's update mutates and publishes concurrently —
   /// writers never block readers, because every query reads the immutable
   /// snapshot it acquired at admission.  The next wave starts after both
-  /// settle.  Exception semantics match `run_waves(span<Wave>)`.
+  /// settle.
+  ///
+  /// Query failures are isolated per wave: the wave's update and the
+  /// remaining waves still run, and the first failed query (in wave, then
+  /// job order) is rethrown after the final wave; a shed query surfaces as
+  /// `pandora::Cancelled`.  An update exception aborts the remaining waves
+  /// (the stream state is no longer trustworthy) and propagates once the
+  /// wave's queries have settled, superseding any pending query failure.
   ///
   /// The PublishedClustering's writer executor must be distinct from this
   /// batch's parent executor (large jobs run on the parent concurrently
@@ -288,17 +263,13 @@ class BatchExecutor {
   [[nodiscard]] const BatchOptions& options() const noexcept { return options_; }
 
  private:
-  /// Shared synchronisation state, heap-held so the executor stays movable:
-  /// `batch_mutex` serialises whole batches on the slots (two threads may
-  /// submit `run` concurrently; the slots are single-occupancy), and
-  /// `epoch_gate` orders legacy wave updates against query batches.
-  struct GateState {
-    std::mutex batch_mutex;
-    snapshot::EpochGate epoch_gate;
-  };
+  /// `run_jobs`, then rethrows the first failure in job order — the
+  /// exception-based contract of the typed front doors.  A shed job has no
+  /// exception of its own and surfaces as `pandora::Cancelled`.
+  void run(std::span<Job> jobs);
 
-  /// Rolling latency model behind `QosPolicy::adaptive`, heap-held like
-  /// GateState so the executor stays movable.  Completing ok jobs write it
+  /// Rolling latency model behind `QosPolicy::adaptive`, heap-held like the
+  /// batch mutex so the executor stays movable.  Completing ok jobs write it
   /// (relaxed atomics, from any worker); admission reads it.
   struct AdaptiveState {
     obs::Histogram latency;                    ///< completed-job run time
@@ -311,7 +282,10 @@ class BatchExecutor {
   /// Persistent serial executors, one per slot: their Workspace arenas stay
   /// warm across batches.  unique_ptr keeps them address-stable.
   std::vector<std::unique_ptr<exec::Executor>> slots_;
-  std::unique_ptr<GateState> gate_;
+  /// Serialises whole batches on the slots (two threads may submit
+  /// `run_jobs` concurrently; the slots are single-occupancy).  Heap-held so
+  /// the executor stays movable.
+  std::unique_ptr<std::mutex> batch_mutex_;
   std::unique_ptr<AdaptiveState> adaptive_;
 };
 

@@ -55,7 +55,29 @@ void* operator new(std::size_t size, std::align_val_t alignment) {
   }
 }
 
+// The nothrow forms are replaced and counted too (std::stable_sort takes its
+// temporary buffer from one).  Left to the runtime, their blocks would come
+// from the runtime's allocator but be freed by the replaced deletes below,
+// which AddressSanitizer reports as an alloc-dealloc mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (...) {
+    return nullptr;
+  }
+}
+
+void* operator new(std::size_t size, std::align_val_t alignment, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size, alignment);
+  } catch (...) {
+    return nullptr;
+  }
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }

@@ -183,11 +183,12 @@ TEST(BatchExecutor, OverlappedAndSequentialPhasesAgree) {
   jobs.push_back({[&](const exec::Executor&) { large_started.store(true); },
                   /*size_hint=*/100000});
   serve::BatchExecutor witness(parent, overlapped_options);
-  witness.run(jobs);  // would deadlock without phase overlap
+  for (const serve::JobResult& result : witness.run_jobs(jobs))  // deadlocks without overlap
+    EXPECT_EQ(result.outcome, serve::JobOutcome::ok);
   EXPECT_TRUE(large_started.load());
 }
 
-TEST(BatchExecutor, ExceptionsAreIsolatedAndRethrown) {
+TEST(BatchExecutor, ExceptionsAreIsolatedPerJob) {
   const exec::Executor parent(exec::default_backend(), 2);
   serve::BatchExecutor batch(parent, {.num_slots = 2});
 
@@ -200,35 +201,26 @@ TEST(BatchExecutor, ExceptionsAreIsolatedAndRethrown) {
                     },
                     /*size_hint=*/16});
   }
-  EXPECT_THROW(batch.run(jobs), std::runtime_error);
+  const std::vector<serve::JobResult> results = batch.run_jobs(jobs);
   EXPECT_EQ(completed.load(), 5) << "one poisoned query must not abort its batchmates";
-}
-
-TEST(BatchExecutor, WaveQueryExceptionsAreIsolatedButUpdatesStillApply) {
-  const exec::Executor parent(exec::default_backend(), 2);
-  serve::BatchExecutor batch(parent, {.num_slots = 2});
-
-  std::atomic<int> updates_applied{0};
-  std::atomic<int> queries_completed{0};
-  std::vector<serve::BatchExecutor::Wave> waves(3);
-  for (std::size_t w = 0; w < waves.size(); ++w) {
-    for (int q = 0; q < 3; ++q) {
-      waves[w].queries.push_back(serve::BatchExecutor::Job{
-          [w, q, &queries_completed](const exec::Executor&) {
-            if (w == 0 && q == 1) throw std::runtime_error("poisoned wave query");
-            queries_completed.fetch_add(1);
-          },
-          /*size_hint=*/16});
-    }
-    waves[w].update = [&updates_applied](const exec::Executor&) {
-      updates_applied.fetch_add(1);
-    };
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].outcome, i == 2 ? serve::JobOutcome::failed : serve::JobOutcome::ok)
+        << "job " << i;
   }
-  // The poisoned wave-0 query must not stop wave 0's update nor the later
-  // waves; its exception surfaces after the final wave.
-  EXPECT_THROW(batch.run_waves(waves), std::runtime_error);
-  EXPECT_EQ(updates_applied.load(), 3);
-  EXPECT_EQ(queries_completed.load(), 8);
+  EXPECT_THROW(std::rethrow_exception(results[2].error), std::runtime_error);
+
+  // The typed front doors rethrow the first failure once every query has
+  // settled: the valid queries around the poisoned one are still built.
+  const graph::EdgeList tree = make_tree(Topology::random_attach, 500, 3, 0);
+  graph::EdgeList not_a_tree = tree;
+  not_a_tree[0] = not_a_tree[1];  // a duplicate edge: not a spanning tree
+  const std::vector<serve::DendrogramQuery> queries = {
+      {&tree, 500, {}}, {&not_a_tree, 500, {.validate_input = true}}, {&tree, 500, {}}};
+  std::vector<dendrogram::Dendrogram> out;
+  EXPECT_THROW(batch.build_dendrograms_into(queries, out), std::invalid_argument);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].parent, out[2].parent);
+  EXPECT_EQ(out[2].num_edges, 499);
 }
 
 TEST(BatchExecutor, TenantQuotaConfinesEvictionToTheOffendingTenant) {
@@ -259,7 +251,8 @@ TEST(BatchExecutor, TenantQuotaConfinesEvictionToTheOffendingTenant) {
                   /*size_hint=*/16, /*tenant=*/1});
   jobs.push_back({[&](const exec::Executor& exec) { insert_artifact(exec, 10); },
                   /*size_hint=*/16, /*tenant=*/2});
-  batch.run(jobs);
+  for (const serve::JobResult& result : batch.run_jobs(jobs))
+    ASSERT_EQ(result.outcome, serve::JobOutcome::ok);
 
   // The quota-exceeding tenant displaced its own LRU entry; the sibling
   // tenant's artifact — and the cache's plentiful empty slots — are intact.
@@ -268,55 +261,6 @@ TEST(BatchExecutor, TenantQuotaConfinesEvictionToTheOffendingTenant) {
   EXPECT_NE(cache.find<Artifact>(2), nullptr);
   EXPECT_NE(cache.find<Artifact>(3), nullptr);
   EXPECT_NE(cache.find<Artifact>(10), nullptr) << "tenant 2 is unaffected";
-}
-
-// The regression test for the old run_waves semantics gap: a query batch
-// submitted from another thread while waves are in flight must never observe
-// a half-applied update.  The update writes a pair that is equal exactly at
-// the epoch boundaries; the epoch gate makes the torn state unobservable by
-// construction (and the pair is gate-protected plain data, so the CI
-// ThreadSanitizer entry also proves the gate's synchronisation, not just its
-// outcome).
-TEST(BatchExecutor, ConcurrentBatchesNeverObserveHalfAppliedWaveUpdates) {
-  const exec::Executor parent(exec::default_backend(), 2);
-  serve::BatchExecutor batch(parent, {.num_slots = 2});
-
-  std::uint64_t epoch_a = 0;  // gate-protected: shared section reads,
-  std::uint64_t epoch_b = 0;  // exclusive wave updates write
-  std::atomic<bool> done{false};
-  std::atomic<bool> torn{false};
-
-  std::thread prober([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      std::vector<serve::BatchExecutor::Job> jobs;
-      for (int q = 0; q < 4; ++q) {
-        jobs.push_back({[&](const exec::Executor&) {
-                          const std::uint64_t a = epoch_a;
-                          std::this_thread::yield();  // widen any torn window
-                          const std::uint64_t b = epoch_b;
-                          if (a != b) torn.store(true, std::memory_order_relaxed);
-                        },
-                        /*size_hint=*/16});
-      }
-      batch.run(jobs);
-    }
-  });
-
-  std::vector<serve::BatchExecutor::Wave> waves(50);
-  for (auto& wave : waves) {
-    wave.update = [&](const exec::Executor&) {
-      ++epoch_a;
-      std::this_thread::yield();  // a batch admitted here would see a != b
-      ++epoch_b;
-    };
-  }
-  batch.run_waves(waves);
-  done.store(true, std::memory_order_release);
-  prober.join();
-
-  EXPECT_FALSE(torn.load()) << "a query batch observed a half-applied epoch";
-  EXPECT_EQ(epoch_a, 50u);
-  EXPECT_EQ(epoch_b, 50u);
 }
 
 TEST(BatchExecutor, PipelineBatchFrontDoor) {

@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <numeric>
 #include <vector>
 
@@ -324,45 +326,58 @@ TEST(DynamicClustering, EpochFingerprintsRekeyHdbscanArtifacts) {
 
 TEST(DynamicClustering, ServingWavesInterleaveQueriesAndUpdates) {
   // The serve:: integration: waves of concurrent read-only queries against
-  // the stream's current dendrogram, with updates applied exclusively
-  // between waves (race-checked by the CI TSan entry).
-  const exec::Executor parent(exec::default_backend(), 4);
-  dyn::DynamicClustering stream = Pipeline::on(parent).dynamic();
-  stream.insert(data::gaussian_blobs(300, 2, 3, 0.05, 0.1, 21));
+  // pinned snapshots of the stream, while each wave's update publishes a
+  // successor beside them (race-checked by the CI TSan entry).
+  const exec::Executor writer(exec::default_backend(), 4);
+  snapshot::PublishedClustering published = Pipeline::on(writer).published();
+  published.insert(data::gaussian_blobs(300, 2, 3, 0.05, 0.1, 21));
 
+  const exec::Executor parent(exec::default_backend(), 4);
   serve::BatchExecutor batch = Pipeline::on(parent).batch({.num_slots = 4});
 
   constexpr int kWaves = 4;
   constexpr int kQueriesPerWave = 8;
-  std::vector<std::vector<double>> roots(kWaves);
-  for (auto& r : roots) r.assign(kQueriesPerWave, -1.0);
+  struct Observation {
+    std::uint64_t epoch = 0;
+    index_t size = 0;
+    double root = -1.0;
+  };
+  std::vector<Observation> observed(kWaves * kQueriesPerWave);
 
-  std::vector<serve::BatchExecutor::Wave> waves(kWaves);
+  std::vector<serve::BatchExecutor::SnapshotWave> waves(kWaves);
   for (int w = 0; w < kWaves; ++w) {
     for (int q = 0; q < kQueriesPerWave; ++q) {
-      waves[static_cast<std::size_t>(w)].queries.push_back(serve::BatchExecutor::Job{
-          [&stream, &slot = roots[static_cast<std::size_t>(w)][static_cast<std::size_t>(q)]](
-              const exec::Executor&) {
-            // Read-only view of the wave's dendrogram snapshot.
-            slot = stream.dendrogram().weight.empty() ? 0.0 : stream.dendrogram().weight[0];
+      waves[static_cast<std::size_t>(w)].queries.push_back(serve::BatchExecutor::SnapshotJob{
+          [&slot = observed[static_cast<std::size_t>(w * kQueriesPerWave + q)]](
+              const exec::Executor&, const snapshot::Snapshot& snap) {
+            slot.epoch = snap.epoch();
+            slot.size = snap.size();
+            slot.root = snap.dendrogram().weight.empty() ? 0.0 : snap.dendrogram().weight[0];
           },
           /*size_hint=*/16});
     }
-    waves[static_cast<std::size_t>(w)].update = [&stream, w](const exec::Executor&) {
+    waves[static_cast<std::size_t>(w)].update = [w](snapshot::PublishedClustering& stream) {
       stream.insert(data::uniform_points(40, 2, 100 + static_cast<std::uint64_t>(w)));
     };
   }
-  batch.run_waves(waves);
+  batch.run_waves(published, waves);
 
-  EXPECT_EQ(stream.size(), 300 + kWaves * 40);
+  EXPECT_EQ(published.stream().size(), 300 + kWaves * 40);
+  std::map<std::uint64_t, Observation> first_by_epoch;
   for (int w = 0; w < kWaves; ++w) {
-    // Every query of a wave saw the same (settled) dendrogram root weight.
-    for (int q = 1; q < kQueriesPerWave; ++q)
-      EXPECT_EQ(roots[static_cast<std::size_t>(w)][static_cast<std::size_t>(q)],
-                roots[static_cast<std::size_t>(w)][0]);
-    EXPECT_GE(roots[static_cast<std::size_t>(w)][0], 0.0);
+    for (int q = 0; q < kQueriesPerWave; ++q) {
+      const Observation& seen = observed[static_cast<std::size_t>(w * kQueriesPerWave + q)];
+      // A wave's query pinned the epoch before or after the wave's update...
+      EXPECT_TRUE(seen.size == 300 + w * 40 || seen.size == 300 + (w + 1) * 40)
+          << "wave " << w << " saw " << seen.size << " points";
+      EXPECT_GE(seen.root, 0.0);
+      // ...and every query pinning one epoch saw the same settled dendrogram.
+      const Observation& first = first_by_epoch.emplace(seen.epoch, seen).first->second;
+      EXPECT_EQ(seen.size, first.size) << "epoch " << seen.epoch;
+      EXPECT_EQ(seen.root, first.root) << "epoch " << seen.epoch;
+    }
   }
-  expect_equivalent_to_rebuild(stream);
+  expect_equivalent_to_rebuild(published.stream());
 }
 
 TEST(DynamicClustering, UpdateStatsTrackTheIncrementalPath) {

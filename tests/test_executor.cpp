@@ -1,6 +1,6 @@
 // The Executor execution context: workspace arena semantics (lease recycling,
 // allocation stats, determinism of reuse), thread budget resolution, and the
-// Profiler hook that subsumes the old PhaseTimes* out-params.
+// phase seam: `Executor::phase` timing into nested `ScopedPhaseTimes`.
 
 #include <gtest/gtest.h>
 
@@ -168,50 +168,56 @@ TEST(Executor, ParallelizeRespectsGrainBackendAndBudget) {
   EXPECT_TRUE(parallel.parallelize(exec::kParallelForGrain));
 }
 
-TEST(Executor, RecordPhaseWithoutProfilerIsANoop) {
+TEST(Executor, PhaseWithoutScopeOrTraceJustRunsTheBody) {
   const exec::Executor executor(exec::serial_backend());
-  EXPECT_EQ(executor.profiler(), nullptr);
-  executor.record_phase("anything", 1.0);  // must not crash
+  int runs = 0;
+  executor.phase("anything", [&] { ++runs; });
+  EXPECT_EQ(runs, 1);
 }
 
-TEST(Executor, ProfilerReceivesPhases) {
+TEST(Executor, ScopedPhaseTimesCollectsPhases) {
   const exec::Executor executor(exec::serial_backend());
-  exec::PhaseTimesProfiler profiler;
-  executor.set_profiler(&profiler);
-  executor.record_phase("alpha", 0.25);
-  executor.record_phase("alpha", 0.25);
-  executor.phase("beta", [] {});
-  executor.set_profiler(nullptr);
-  EXPECT_DOUBLE_EQ(profiler.times().get("alpha"), 0.5);
-  EXPECT_GE(profiler.times().get("beta"), 0.0);
-  EXPECT_EQ(profiler.times().all().count("beta"), 1u);
+  PhaseTimes times;
+  {
+    const exec::ScopedPhaseTimes scope(executor, &times);
+    executor.phase("alpha", [] {});
+    executor.phase("alpha", [] {});
+    executor.phase("beta", [] {});
+  }
+  executor.phase("gamma", [] {});  // after the scope: not collected
+  EXPECT_EQ(times.all().size(), 2u);
+  EXPECT_GE(times.get("alpha"), 0.0);
+  EXPECT_EQ(times.all().count("beta"), 1u);
 }
 
 TEST(Executor, ScopedPhaseTimesChainsAndRestores) {
   const exec::Executor executor(exec::serial_backend());
-  exec::PhaseTimesProfiler outer;
-  executor.set_profiler(&outer);
+  PhaseTimes outer;
   PhaseTimes inner;
   {
-    exec::ScopedPhaseTimes scope(executor, &inner);
-    executor.record_phase("x", 1.0);
+    const exec::ScopedPhaseTimes outer_scope(executor, &outer);
+    {
+      const exec::ScopedPhaseTimes inner_scope(executor, &inner);
+      executor.phase("x", [] {});
+    }
+    executor.phase("y", [] {});  // the inner scope is closed again
   }
-  executor.set_profiler(nullptr);
-  // Both the scoped sink and the previously attached profiler observed "x".
-  EXPECT_DOUBLE_EQ(inner.get("x"), 1.0);
-  EXPECT_DOUBLE_EQ(outer.times().get("x"), 1.0);
+  // Both scopes observed "x" with the same duration; only the outer one "y".
+  ASSERT_EQ(inner.all().count("x"), 1u);
+  EXPECT_DOUBLE_EQ(outer.get("x"), inner.get("x"));
+  EXPECT_EQ(outer.all().count("y"), 1u);
+  EXPECT_EQ(inner.all().count("y"), 0u);
 }
 
 TEST(Executor, ScopedPhaseTimesWithNullSinkIsTransparent) {
   const exec::Executor executor(exec::serial_backend());
-  exec::PhaseTimesProfiler outer;
-  executor.set_profiler(&outer);
+  PhaseTimes outer;
   {
-    exec::ScopedPhaseTimes scope(executor, nullptr);
-    executor.record_phase("y", 2.0);
+    const exec::ScopedPhaseTimes outer_scope(executor, &outer);
+    const exec::ScopedPhaseTimes scope(executor, nullptr);
+    executor.phase("y", [] {});
   }
-  executor.set_profiler(nullptr);
-  EXPECT_DOUBLE_EQ(outer.times().get("y"), 2.0);
+  EXPECT_EQ(outer.all().count("y"), 1u);
 }
 
 TEST(Executor, RepeatedDendrogramsAllocateNothingAfterWarmup) {

@@ -12,12 +12,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "pandora/data/point_generators.hpp"
+#include "pandora/dendrogram/mixed.hpp"
 #include "pandora/dendrogram/pandora.hpp"
+#include "pandora/dendrogram/union_find_dendrogram.hpp"
 #include "pandora/exec/sort.hpp"
 #include "pandora/hdbscan/core_distance.hpp"
 #include "pandora/obs/metrics.hpp"
@@ -258,6 +261,92 @@ TEST(TraceRecorder, LongNamesAreTruncatedNotCorrupted) {
   const std::string json = recorder.chrome_trace_json();
   EXPECT_NE(json.find(std::string(31, 'x')), std::string::npos) << json;
   EXPECT_EQ(json.find(std::string(32, 'x')), std::string::npos) << json;
+}
+
+// --- the phase seam ----------------------------------------------------------
+
+/// The distinct span names of a Chrome trace, minus the `run_chunks` launch
+/// spans: the phases `Executor::phase` recorded.
+std::set<std::string> phase_span_names(const obs::TraceRecorder& recorder) {
+  const std::string json = recorder.chrome_trace_json();
+  const std::string marker = "\"name\": \"";
+  std::set<std::string> names;
+  for (std::size_t at = json.find(marker); at != std::string::npos; at = json.find(marker, at)) {
+    at += marker.size();
+    names.insert(json.substr(at, json.find('"', at) - at));
+  }
+  names.erase("run_chunks");
+  return names;
+}
+
+/// Runs `f` on a fresh executor with a trace recorder and a ScopedPhaseTimes
+/// installed, checks that the collected phase keys are exactly the phase
+/// spans of the trace, and returns the keys.
+template <class F>
+std::set<std::string> traced_phase_keys(int threads, F&& f) {
+  const exec::Executor executor(exec::default_backend(), threads);
+  obs::TraceRecorder recorder({.events_per_thread = std::size_t{1} << 16, .max_threads = 64});
+  PhaseTimes times;
+  {
+    const exec::ScopedTrace trace(executor, &recorder);
+    const exec::ScopedPhaseTimes scope(executor, &times);
+    f(executor);
+  }
+  EXPECT_EQ(recorder.events_dropped(), 0u);
+  std::set<std::string> keys;
+  for (const auto& [phase, seconds] : times.all()) keys.insert(phase);
+  EXPECT_EQ(keys, phase_span_names(recorder));
+  return keys;
+}
+
+TEST(Observability, PhaseTimesKeysAreThePhaseSpansOfEveryDriver) {
+  // One seam feeds both observers, and every driver reports the phase keys
+  // the benches map onto layers (perfbench's `add_phases` relies on them).
+  using Keys = std::set<std::string>;
+  const Keys pandora_keys = {"sort", "contraction", "expansion"};
+  const Keys union_find_keys = {"sort", "dendrogram"};
+  const Keys spatial_keys = {"tree_build", "core_distance", "mst", "condense", "extract"};
+  auto with = [](Keys keys, const Keys& more) {
+    keys.insert(more.begin(), more.end());
+    return keys;
+  };
+
+  const index_t nv = 6000;
+  const graph::EdgeList tree = make_tree(Topology::random_attach, nv, 5, 0);
+  const spatial::PointSet points = data::gaussian_blobs(1500, 2, 3, 0.05, 0.1, 9);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    for (const auto policy :
+         {dendrogram::ExpansionPolicy::multilevel, dendrogram::ExpansionPolicy::single_level}) {
+      EXPECT_EQ(traced_phase_keys(threads,
+                                  [&](const exec::Executor& exec) {
+                                    (void)dendrogram::pandora_dendrogram(
+                                        exec, tree, nv, {.expansion = policy});
+                                  }),
+                pandora_keys);
+    }
+    EXPECT_EQ(traced_phase_keys(threads,
+                                [&](const exec::Executor& exec) {
+                                  (void)dendrogram::mixed_dendrogram(exec, tree, nv, 0.1);
+                                }),
+              (Keys{"sort", "split", "subtrees", "stitch"}));
+    EXPECT_EQ(traced_phase_keys(threads,
+                                [&](const exec::Executor& exec) {
+                                  (void)dendrogram::union_find_dendrogram(exec, tree, nv);
+                                }),
+              union_find_keys);
+    EXPECT_EQ(traced_phase_keys(
+                  threads, [&](const exec::Executor& exec) { (void)hdbscan::hdbscan(exec, points); }),
+              with(spatial_keys, pandora_keys));
+    EXPECT_EQ(traced_phase_keys(threads,
+                                [&](const exec::Executor& exec) {
+                                  hdbscan::HdbscanOptions options;
+                                  options.dendrogram_algorithm =
+                                      hdbscan::DendrogramAlgorithm::union_find;
+                                  (void)hdbscan::hdbscan(exec, points, options);
+                                }),
+              with(spatial_keys, union_find_keys));
+  }
 }
 
 // --- the zero-allocation contract -------------------------------------------

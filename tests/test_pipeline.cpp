@@ -1,6 +1,6 @@
 // The fluent Pipeline builder: every terminal operation must match the free
 // function it fronts, and the builder must compose with the Executor's
-// workspace and profiler.
+// workspace and phase timing.
 
 #include <gtest/gtest.h>
 
@@ -124,13 +124,14 @@ TEST(Pipeline, SelectionOptionsReachExtraction) {
 TEST(Pipeline, ProfilerObservesPipelinePhases) {
   const graph::EdgeList tree = make_tree(Topology::preferential, 5000, 8, 0);
   const exec::Executor executor(exec::default_backend());
-  exec::PhaseTimesProfiler profiler;
-  executor.set_profiler(&profiler);
-  (void)Pipeline::on(executor).build_dendrogram(tree, 5000);
-  executor.set_profiler(nullptr);
-  EXPECT_GT(profiler.times().get("sort"), 0.0);
-  EXPECT_GT(profiler.times().get("contraction"), 0.0);
-  EXPECT_GT(profiler.times().get("expansion"), 0.0);
+  PhaseTimes times;
+  {
+    const exec::ScopedPhaseTimes scope(executor, &times);
+    (void)Pipeline::on(executor).build_dendrogram(tree, 5000);
+  }
+  EXPECT_GT(times.get("sort"), 0.0);
+  EXPECT_GT(times.get("contraction"), 0.0);
+  EXPECT_GT(times.get("expansion"), 0.0);
 }
 
 }  // namespace

@@ -178,17 +178,17 @@ TEST(ServeQos, FailedJobCapturesItsExceptionWithoutAbortingBatchmates) {
   EXPECT_EQ(results[1].outcome, JobOutcome::ok);
 }
 
-TEST(ServeQos, LegacyRunSurfacesShedAsCancelled) {
+TEST(ServeQos, FrontDoorSurfacesShedAsCancelled) {
   const exec::Executor parent;
   BatchOptions options;
   options.qos.batch_budget = 1ns;
   BatchExecutor batch(parent, options);
   const spatial::PointSet points = data::gaussian_blobs(300, 2, 3, 0.05, 0.1, 29);
-  std::vector<BatchExecutor::Job> jobs(2, hdbscan_job(points));
-  EXPECT_THROW(batch.run(jobs), Cancelled);
+  const std::vector<serve::HdbscanQuery> queries(2, serve::HdbscanQuery{&points, {}});
+  EXPECT_THROW((void)batch.run_hdbscan(queries), Cancelled);
 }
 
-TEST(ServeQos, LegacyRunStillRethrowsFirstFailureInJobOrder) {
+TEST(ServeQos, RunJobsReportsEveryFailureInJobOrder) {
   const exec::Executor parent;
   BatchExecutor batch(parent, {});
   std::vector<BatchExecutor::Job> jobs;
@@ -200,7 +200,12 @@ TEST(ServeQos, LegacyRunStillRethrowsFirstFailureInJobOrder) {
       .run = [](const exec::Executor&) { throw std::runtime_error("second"); },
       .size_hint = 2,
   });
-  EXPECT_THROW(batch.run(jobs), std::invalid_argument);
+  const std::vector<JobResult> results = batch.run_jobs(jobs);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].outcome, JobOutcome::failed);
+  EXPECT_THROW(std::rethrow_exception(results[0].error), std::invalid_argument);
+  EXPECT_EQ(results[1].outcome, JobOutcome::failed);
+  EXPECT_THROW(std::rethrow_exception(results[1].error), std::runtime_error);
 }
 
 TEST(ServeQos, AdaptivePolicyShedsSlowJobFloodThatStaticDefaultsAdmit) {

@@ -251,8 +251,8 @@ TEST(SnapshotServing, PipelineOnSnapshotFrontDoor) {
 
 // Writers never block readers, witnessed structurally: a reader query that
 // refuses to finish until the wave's own update has published can only
-// complete because the update runs concurrently with the queries (the
-// legacy exclusive-wave driver would deadlock here).  The update waits for
+// complete because the update runs concurrently with the queries (a driver
+// that ran updates between waves would deadlock here).  The update waits for
 // the query to pin its snapshot first: a query admitted only after the
 // publish would pin the successor epoch, which the contract allows.
 TEST(SnapshotServing, SnapshotWaveUpdatesRunConcurrentlyWithQueries) {
