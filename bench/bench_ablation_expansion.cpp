@@ -1,8 +1,9 @@
-// Ablation A (DESIGN.md): multilevel expansion (Section 3.3.2) vs the
-// single-level walk-up (Section 3.3.1).  The walk-up is O(n * h_alpha) and
-// collapses on skewed dendrograms — exactly why the paper develops the
-// multilevel scheme.  Synthetic topologies sweep the skewness axis; the EMST
-// of the cosmology proxy provides a realistic instance.
+// Ablation A (DESIGN.md): multilevel expansion (Section 3.3.2, the library's
+// `pandora_dendrogram`) vs the single-level walk-up (Section 3.3.1, the
+// baseline function `single_level_dendrogram`).  The walk-up is
+// O(n * h_alpha) and collapses on skewed dendrograms — exactly why the paper
+// develops the multilevel scheme.  Synthetic topologies sweep the skewness
+// axis; the EMST of the cosmology proxy provides a realistic instance.
 
 #include <cstdio>
 #include <string>
@@ -11,6 +12,7 @@
 #include "pandora/common/rng.hpp"
 #include "pandora/data/tree_generators.hpp"
 #include "pandora/dendrogram/analysis.hpp"
+#include "pandora/dendrogram/expansion.hpp"
 #include "pandora/graph/euler_tour.hpp"
 #include "pandora/pipeline.hpp"
 
@@ -21,15 +23,12 @@ namespace {
 void run_case(const exec::Executor& executor, const std::string& label,
               const graph::EdgeList& tree, index_t nv) {
   const auto multilevel = Pipeline::on(executor);
-  const auto single =
-      Pipeline::on(executor).with_expansion(dendrogram::ExpansionPolicy::single_level);
-
   const auto dendro = multilevel.build_dendrogram(tree, nv);
   const double t_multi = bench::best_of(3, [&] {
     (void)multilevel.build_dendrogram(tree, nv);
   });
   const double t_single = bench::best_of(3, [&] {
-    (void)single.build_dendrogram(tree, nv);
+    (void)dendrogram::single_level_dendrogram(executor, tree, nv);
   });
   std::printf("%-28s %9d %10.1f | %12.3fs %14.3fs | %8.1fx\n", label.c_str(), nv - 1,
               dendrogram::skewness(dendro), t_multi, t_single, t_single / t_multi);

@@ -72,7 +72,7 @@ void run_scenario(const char* name, const exec::Executor& executor,
                   bench::JsonReport& json) {
   std::vector<serve::DendrogramQuery> queries;
   for (std::size_t i = 0; i < trees.size(); ++i)
-    queries.push_back({&trees[i], num_vertices[i], {}});
+    queries.push_back({&trees[i], num_vertices[i]});
 
   const CounterDelta cache_hits("pandora_cache_hits_total");
   const CounterDelta cache_misses("pandora_cache_misses_total");
@@ -94,7 +94,7 @@ void run_scenario(const char* name, const exec::Executor& executor,
   const auto sequential_pass = [&] {
     for (std::size_t i = 0; i < queries.size(); ++i)
       dendrogram::pandora_dendrogram_into(executor, *queries[i].mst, queries[i].num_vertices,
-                                          queries[i].options, sequential_out[i]);
+                                          sequential_out[i]);
   };
   sequential_pass();  // warm the parent arena
   const bench::Measurement sequential = bench::measure(5, sequential_pass);
@@ -156,7 +156,7 @@ void run_qos(const exec::Executor& executor, bench::JsonReport& json) {
     jobs.push_back(serve::BatchExecutor::Job{
         .run =
             [&, i](const exec::Executor& exec) {
-              dendrogram::pandora_dendrogram_into(exec, trees[i], n, {}, out[i]);
+              dendrogram::pandora_dendrogram_into(exec, trees[i], n, out[i]);
             },
         .size_hint = static_cast<size_type>(trees[i].size()),
     });

@@ -102,7 +102,7 @@ int main() {
   dendrogram::Dendrogram serial_out;
   const bool sorting_ok = steady_state("serial sort+build", serial, [&] {
     dendrogram::sort_edges_into(serial, mst, n, sorted);
-    dendrogram::pandora_dendrogram_into(serial, sorted, {}, serial_out);
+    dendrogram::pandora_dendrogram_into(serial, sorted, serial_out);
   });
   if (serial_out.parent != out.parent) {
     std::printf("FAIL: serial dendrogram differs from the cached-sort one\n");

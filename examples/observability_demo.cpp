@@ -59,7 +59,7 @@ void serve_phase(const exec::Executor& executor) {
     jobs.push_back(serve::BatchExecutor::Job{
         .run =
             [&, i](const exec::Executor& exec) {
-              dendrogram::pandora_dendrogram_into(exec, trees[i], n, {}, out[i]);
+              dendrogram::pandora_dendrogram_into(exec, trees[i], n, out[i]);
             },
         .size_hint = static_cast<size_type>(trees[i].size()),
     });

@@ -107,6 +107,10 @@ void expand_multilevel(const exec::Executor& exec, const ContractionHierarchy& h
   exec.phase("expansion", [&] { stitch_chains(exec, packed, edge_parent); });
 }
 
+namespace {
+
+/// Single-level expansion (Section 3.3.1): writes `edge_parent[g]` for every
+/// edge of `sorted`.
 void expand_single_level(const exec::Executor& exec, const SortedEdges& sorted,
                          std::span<index_t> edge_parent) {
   const index_t n = sorted.num_edges();
@@ -227,6 +231,37 @@ void expand_single_level(const exec::Executor& exec, const SortedEdges& sorted,
         edge_parent[static_cast<std::size_t>(i)] = alpha_parent[static_cast<std::size_t>(i)];
     });
   });
+}
+
+}  // namespace
+
+Dendrogram single_level_dendrogram(const exec::Executor& exec, const SortedEdges& sorted) {
+  const index_t n = sorted.num_edges();
+  const index_t nv = sorted.num_vertices;
+
+  Dendrogram dendrogram;
+  dendrogram.num_edges = n;
+  dendrogram.num_vertices = nv;
+  dendrogram.weight = sorted.weight;
+  dendrogram.edge_order = sorted.order;
+  dendrogram.parent.assign(static_cast<std::size_t>(n) + static_cast<std::size_t>(nv), kNone);
+  if (n == 0) return dendrogram;  // single data point: the vertex is the root
+
+  const std::span<index_t> parent(dendrogram.parent);
+  expand_single_level(exec, sorted, parent.first(static_cast<std::size_t>(n)));
+  // Vertex parents by Eq. (1): maxIncident of the original tree, whose local
+  // edge indices are the global ones.  (The single-level path does not retain
+  // its base level, so one extra launch; negligible next to the walk itself.)
+  detail::max_incident(exec, sorted.u, sorted.v, parent.subspan(static_cast<std::size_t>(n)));
+  return dendrogram;
+}
+
+Dendrogram single_level_dendrogram(const exec::Executor& exec, const graph::EdgeList& mst,
+                                   index_t num_vertices, bool validate_input) {
+  std::shared_ptr<const SortedEdges> sorted;
+  exec.phase("sort",
+             [&] { sorted = sorted_edges_cached(exec, mst, num_vertices, validate_input); });
+  return single_level_dendrogram(exec, *sorted);
 }
 
 }  // namespace pandora::dendrogram

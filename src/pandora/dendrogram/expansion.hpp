@@ -5,8 +5,10 @@
 #include "pandora/common/timer.hpp"
 #include "pandora/common/types.hpp"
 #include "pandora/dendrogram/contraction.hpp"
+#include "pandora/dendrogram/dendrogram.hpp"
 #include "pandora/dendrogram/sorted_edges.hpp"
 #include "pandora/exec/executor.hpp"
+#include "pandora/graph/edge.hpp"
 
 namespace pandora::dendrogram {
 
@@ -27,17 +29,29 @@ namespace pandora::dendrogram {
 void expand_multilevel(const exec::Executor& exec, const ContractionHierarchy& hierarchy,
                        std::span<index_t> edge_parent);
 
-/// Single-level expansion (Section 3.3.1) — the non-work-optimal variant kept
-/// as an ablation and as an independent implementation for cross-validation.
+/// The dendrogram by single-level expansion (Section 3.3.1) — the
+/// non-work-optimal variant, kept as a baseline beside
+/// `union_find_dendrogram` for the expansion ablation and as an independent
+/// implementation for cross-validation.  Bit-identical to
+/// `pandora_dendrogram`.
 ///
 /// Contracts the MST once, computes the full dendrogram of the α-MST (via the
 /// multilevel machinery), then inserts every non-α edge by walking the
 /// α-dendrogram upwards from its supervertex's parent until an edge heavier
 /// than it is found — O(n · h_α) in the worst case, which is exactly the
-/// behaviour Figure-level ablations quantify.
+/// behaviour the expansion ablation quantifies.  Vertex parents come from
+/// maxIncident of the original tree (Eq. 1).
 ///
-/// Writes `edge_parent[g]` for every edge of `sorted`.
-void expand_single_level(const exec::Executor& exec, const SortedEdges& sorted,
-                         std::span<index_t> edge_parent);
+/// Phases timed through `Executor::phase`: "sort" (EdgeList overload and the
+/// chain radix sort), "contraction", "expansion".
+[[nodiscard]] Dendrogram single_level_dendrogram(const exec::Executor& exec,
+                                                 const SortedEdges& sorted);
+
+/// Convenience overload that sorts internally (through the SortedEdges
+/// cache); `validate_input` as for `sort_edges`.
+[[nodiscard]] Dendrogram single_level_dendrogram(const exec::Executor& exec,
+                                                 const graph::EdgeList& mst,
+                                                 index_t num_vertices,
+                                                 bool validate_input = false);
 
 }  // namespace pandora::dendrogram

@@ -11,7 +11,7 @@
 namespace pandora::dendrogram {
 
 void pandora_dendrogram_into(const exec::Executor& exec, const SortedEdges& sorted,
-                             const PandoraOptions& options, Dendrogram& out) {
+                             Dendrogram& out) {
   const index_t n = sorted.num_edges();
   const index_t nv = sorted.num_vertices;
 
@@ -23,17 +23,6 @@ void pandora_dendrogram_into(const exec::Executor& exec, const SortedEdges& sort
   if (n == 0) return;  // single data point: the vertex is the root
 
   std::span<index_t> edge_parent(out.parent.data(), static_cast<std::size_t>(n));
-
-  if (options.expansion == ExpansionPolicy::single_level) {
-    expand_single_level(exec, sorted, edge_parent);
-    // Vertex parents by Eq. (1): maxIncident of the original tree, whose
-    // local edge indices are the global ones.  (The single-level path does
-    // not retain its base level, so one extra launch; negligible next to the
-    // walk itself.)
-    detail::max_incident(exec, sorted.u, sorted.v,
-                         std::span<index_t>(out.parent).subspan(static_cast<std::size_t>(n)));
-    return;
-  }
 
   // The base level's global indices are the identity, so no gid iota is ever
   // materialised (the contraction reads the loop index directly).
@@ -52,26 +41,23 @@ void pandora_dendrogram_into(const exec::Executor& exec, const SortedEdges& sort
 }
 
 void pandora_dendrogram_into(const exec::Executor& exec, const graph::EdgeList& mst,
-                             index_t num_vertices, const PandoraOptions& options,
-                             Dendrogram& out) {
+                             index_t num_vertices, Dendrogram& out, bool validate_input) {
   std::shared_ptr<const SortedEdges> sorted;
-  exec.phase("sort", [&] {
-    sorted = sorted_edges_cached(exec, mst, num_vertices, options.validate_input);
-  });
-  pandora_dendrogram_into(exec, *sorted, options, out);
+  exec.phase("sort",
+             [&] { sorted = sorted_edges_cached(exec, mst, num_vertices, validate_input); });
+  pandora_dendrogram_into(exec, *sorted, out);
 }
 
-Dendrogram pandora_dendrogram(const exec::Executor& exec, const SortedEdges& sorted,
-                              const PandoraOptions& options) {
+Dendrogram pandora_dendrogram(const exec::Executor& exec, const SortedEdges& sorted) {
   Dendrogram dendrogram;
-  pandora_dendrogram_into(exec, sorted, options, dendrogram);
+  pandora_dendrogram_into(exec, sorted, dendrogram);
   return dendrogram;
 }
 
 Dendrogram pandora_dendrogram(const exec::Executor& exec, const graph::EdgeList& mst,
-                              index_t num_vertices, const PandoraOptions& options) {
+                              index_t num_vertices, bool validate_input) {
   Dendrogram dendrogram;
-  pandora_dendrogram_into(exec, mst, num_vertices, options, dendrogram);
+  pandora_dendrogram_into(exec, mst, num_vertices, dendrogram, validate_input);
   return dendrogram;
 }
 
@@ -90,24 +76,22 @@ struct CachedDendrogram {
 std::shared_ptr<const Dendrogram> pandora_dendrogram_cached(const exec::Executor& exec,
                                                             const graph::EdgeList& mst,
                                                             index_t num_vertices,
-                                                            const PandoraOptions& options) {
+                                                            bool validate_input) {
   if (!exec.artifact_caching()) {
     auto owned = std::make_shared<Dendrogram>();
-    pandora_dendrogram_into(exec, mst, num_vertices, options, *owned);
+    pandora_dendrogram_into(exec, mst, num_vertices, *owned, validate_input);
     return owned;
   }
 
-  const std::uint64_t key = exec::combine_fingerprint(
-      exec::tagged_fingerprint(exec::ArtifactTag::dendrogram,
-                               mst_fingerprint(exec, mst, num_vertices)),
-      static_cast<std::uint64_t>(options.expansion));
+  const std::uint64_t key = exec::tagged_fingerprint(exec::ArtifactTag::dendrogram,
+                                                     mst_fingerprint(exec, mst, num_vertices));
   std::shared_ptr<CachedDendrogram> entry = exec.artifact_cache().find<CachedDendrogram>(key);
   if (entry == nullptr) {
     entry = std::make_shared<CachedDendrogram>();
-    entry->validated = options.validate_input;
-    pandora_dendrogram_into(exec, mst, num_vertices, options, entry->dendrogram);
+    entry->validated = validate_input;
+    pandora_dendrogram_into(exec, mst, num_vertices, entry->dendrogram, validate_input);
     exec.artifact_cache().insert(key, entry, exec.cache_owner());
-  } else if (options.validate_input && !entry->validated) {
+  } else if (validate_input && !entry->validated) {
     graph::validate_tree(mst, num_vertices);
     entry->validated = true;
   }

@@ -9,20 +9,6 @@
 
 namespace pandora::dendrogram {
 
-/// Which expansion stage to run (Section 3.3).
-enum class ExpansionPolicy {
-  multilevel,    ///< Section 3.3.2: O(n log n), the paper's algorithm
-  single_level,  ///< Section 3.3.1: O(n h) walk-up; ablation / cross-check
-};
-
-/// Options for pandora_dendrogram.  (The retired `space` field is gone: the
-/// Executor's backend decides where kernels run.)
-struct PandoraOptions {
-  ExpansionPolicy expansion = ExpansionPolicy::multilevel;
-  /// Reject inputs that are not spanning trees with finite weights.
-  bool validate_input = false;
-};
-
 /// PANDORA: parallel dendrogram construction by recursive tree contraction
 /// (Algorithm 3).  Work-optimal (O(n log n), Section 4) and expressed
 /// entirely in parallel loops, scans and sorts.
@@ -36,36 +22,39 @@ struct PandoraOptions {
 /// Phases timed through `Executor::phase`: "sort" (initial edge sort +
 /// chain radix sort), "contraction" (multilevel tree contraction),
 /// "expansion" (chain assignment + stitching).
+///
+/// When `validate_input` is set, rejects inputs that are not spanning trees
+/// with finite weights.  The single-level expansion of Section 3.3.1 is the
+/// separate baseline `single_level_dendrogram` (expansion.hpp).
 [[nodiscard]] Dendrogram pandora_dendrogram(const exec::Executor& exec,
                                             const graph::EdgeList& mst, index_t num_vertices,
-                                            const PandoraOptions& options = {});
+                                            bool validate_input = false);
 
 /// As above, starting from pre-sorted edges (skips the "sort" phase's initial
 /// sort; useful when the caller shares one sort across algorithms).
 [[nodiscard]] Dendrogram pandora_dendrogram(const exec::Executor& exec,
-                                            const SortedEdges& sorted,
-                                            const PandoraOptions& options = {});
+                                            const SortedEdges& sorted);
 
 /// Output-reusing variants: `out` is overwritten in place, reusing its
 /// vectors' capacity.
 void pandora_dendrogram_into(const exec::Executor& exec, const graph::EdgeList& mst,
-                             index_t num_vertices, const PandoraOptions& options,
-                             Dendrogram& out);
+                             index_t num_vertices, Dendrogram& out,
+                             bool validate_input = false);
 
 void pandora_dendrogram_into(const exec::Executor& exec, const SortedEdges& sorted,
-                             const PandoraOptions& options, Dendrogram& out);
+                             Dendrogram& out);
 
 /// The cross-call dendrogram cache: the PANDORA dendrogram of `mst`, replayed
-/// from the Executor's ArtifactCache when the MST fingerprint and expansion
-/// policy match.  This is the artifact a `min_cluster_size` sweep replays:
-/// the contraction-hierarchy construction and expansion run once, and every
-/// sweep value only re-condenses the tree (min_cluster_size does not enter
-/// the key because it does not enter the dendrogram).  A mutated MST or a
-/// different expansion policy derives a different key and misses.  With
+/// from the Executor's ArtifactCache when the MST fingerprint matches.  This
+/// is the artifact repeated `hdbscan()` calls and a `min_cluster_size` sweep
+/// replay: the contraction-hierarchy construction and expansion run once, and
+/// every later query only re-condenses the tree (min_cluster_size does not
+/// enter the key because it does not enter the dendrogram).  A mutated MST
+/// derives a different key and misses.  With
 /// `Executor::set_artifact_caching(false)` every call rebuilds.
 [[nodiscard]] std::shared_ptr<const Dendrogram> pandora_dendrogram_cached(
     const exec::Executor& exec, const graph::EdgeList& mst, index_t num_vertices,
-    const PandoraOptions& options = {});
+    bool validate_input = false);
 
 // The deprecated bare-`Space` shims (`pandora_dendrogram(mst, n, options,
 // times)`) were removed after their deprecation cycle: pass a

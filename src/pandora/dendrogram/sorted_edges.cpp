@@ -111,7 +111,7 @@ std::uint32_t low_key_of(const graph::EdgeList& edges, std::uint64_t packed_entr
   return true;
 }
 
-/// The comparison-based reference: a stable merge argsort under the explicit
+/// The degenerate-prefix fallback: a stable merge argsort under the explicit
 /// descending-(weight, id) comparator.
 void merge_argsort(const exec::Executor& exec, const graph::EdgeList& edges,
                    std::vector<index_t>& order) {
@@ -148,10 +148,7 @@ void sort_edges_into(const exec::Executor& exec, const graph::EdgeList& edges,
   out.weight.resize(static_cast<std::size_t>(n));
   out.order.resize(static_cast<std::size_t>(n));
 
-  if (exec.edge_sort_algorithm() == exec::EdgeSortAlgorithm::merge ||
-      !radix_argsort(exec, edges, out.order)) {
-    merge_argsort(exec, edges, out.order);
-  }
+  if (!radix_argsort(exec, edges, out.order)) merge_argsort(exec, edges, out.order);
 
   // Gather endpoints and weights once from the permutation (never sort
   // structs: the sort moved 8-byte words only).

@@ -30,15 +30,15 @@ struct SortedEdges {
 /// `validate_input` is set, rejects inputs that are not spanning trees with
 /// finite non-negative weights.
 ///
-/// The algorithm is selected by the Executor (`EdgeSortAlgorithm`): the
-/// default radix path packs the high 32 bits of the order-preserving
-/// (sign-flipped, inverted) weight key with the edge id into one 64-bit word,
-/// radix-sorts only the key bytes through `radix_sort_u64` — at every size
-/// and thread count, serial executors and sub-grain inputs included — so
-/// weights and endpoints are gathered exactly once from the resulting
-/// permutation instead of sorting structs, then repairs the rare runs whose
-/// weights differ only below the 32-bit prefix; the merge path is the
-/// comparison-based reference.  Both produce bit-identical output.
+/// The sort packs the high 32 bits of the order-preserving (sign-flipped,
+/// inverted) weight key with the edge id into one 64-bit word and radix-sorts
+/// only the key bytes through `radix_sort_u64` — at every size and thread
+/// count, serial executors and sub-grain inputs included — so weights and
+/// endpoints are gathered exactly once from the resulting permutation instead
+/// of sorting structs, then repairs the rare runs whose weights differ only
+/// below the 32-bit prefix.  When the prefixes separate almost nothing (most
+/// of the array would need repair), the input itself selects a stable
+/// comparison merge argsort instead; both paths produce bit-identical output.
 [[nodiscard]] SortedEdges sort_edges(const exec::Executor& exec, const graph::EdgeList& edges,
                                      index_t num_vertices, bool validate_input = false);
 

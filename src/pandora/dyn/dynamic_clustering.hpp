@@ -41,9 +41,6 @@ struct DynamicOptions {
   /// the kd index is rebuilt (amortised O(log n) per insert).  Erases always
   /// rebuild (compaction moves the indexed coordinates).
   double index_rebuild_fraction = 0.125;
-
-  /// PANDORA expansion policy for the dendrogram replays.
-  dendrogram::ExpansionPolicy expansion = dendrogram::ExpansionPolicy::multilevel;
 };
 
 /// Cumulative counters, exposed so tests and benches can assert the update
@@ -71,7 +68,6 @@ struct ArtifactBundle {
   std::shared_ptr<const graph::EdgeList> emst;
   std::shared_ptr<const dendrogram::SortedEdges> sorted_edges;
   std::shared_ptr<const dendrogram::Dendrogram> dendrogram;
-  dendrogram::ExpansionPolicy expansion = dendrogram::ExpansionPolicy::multilevel;
 };
 
 /// A mutable point set with stable ids, an incrementally maintained exact

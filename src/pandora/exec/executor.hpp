@@ -610,23 +610,14 @@ class ScopedPhaseTimes {
   const ScopedPhaseTimes* outer_;  ///< the enclosing scope, or nullptr
 };
 
-/// Which algorithm runs the initial descending-(weight, id) edge sort of
-/// Section 3.1.1.  The key-packed radix path is the default (and is asserted
-/// bit-identical to the comparison sort by the equivalence tests); the merge
-/// path survives as the comparison-based reference and fallback.
-enum class EdgeSortAlgorithm {
-  radix,  ///< order-preserving key32 + packed edge id through radix_sort_u64
-  merge,  ///< stable comparison merge sort (reference / fallback)
-};
-
 /// The reusable execution context every kernel takes by const reference.
 ///
 /// Cheap to construct, but meant to be constructed once and reused: the
 /// workspace arena and artifact cache only pay off across repeated calls.
-/// The workspace, phase scopes, cache and algorithm selections are logically
-/// part of the execution *context*, not the kernel inputs, so they are
-/// mutable behind the const interface (exactly like Kokkos execution-space
-/// instances, whose scratch arenas are mutable too).
+/// The workspace, phase scopes, cache, trace recorder and cancellation token
+/// are logically part of the execution *context*, not the kernel inputs, so
+/// they are mutable behind the const interface (exactly like Kokkos
+/// execution-space instances, whose scratch arenas are mutable too).
 ///
 /// Not thread-safe: do not run two kernels on the same Executor concurrently
 /// (parallelism happens inside kernels, governed by `num_threads`).
@@ -713,12 +704,6 @@ class Executor {
   /// call to recompute — benchmarks comparing construction algorithms do.
   [[nodiscard]] bool artifact_caching() const noexcept { return artifact_caching_; }
   void set_artifact_caching(bool enabled) const noexcept { artifact_caching_ = enabled; }
-
-  /// The edge-sort algorithm selection consulted by `sort_edges`.
-  [[nodiscard]] EdgeSortAlgorithm edge_sort_algorithm() const noexcept { return edge_sort_; }
-  void set_edge_sort_algorithm(EdgeSortAlgorithm algorithm) const noexcept {
-    edge_sort_ = algorithm;
-  }
 
   /// The installed cancellation token (nullptr = not cancellable).
   /// Non-owning; the token must outlive its installation.  Installed via
@@ -809,7 +794,6 @@ class Executor {
   mutable ArtifactCache::Owner cache_owner_{};
   mutable const ScopedPhaseTimes* phase_times_ = nullptr;  ///< innermost open scope
   mutable obs::TraceRecorder* trace_ = nullptr;
-  mutable EdgeSortAlgorithm edge_sort_ = EdgeSortAlgorithm::radix;
   mutable bool artifact_caching_ = true;
   mutable const CancellationToken* cancellation_ = nullptr;
 };

@@ -7,10 +7,10 @@
 /// Cacheable artifacts (SortedEdges, kd-trees, core distances, dendrograms)
 /// are keyed on a 64-bit fingerprint of their *inputs*: a content hash of the
 /// bulk data combined with every parameter that changes the artifact.  Two
-/// sweeps differing in any parameter (`min_pts`, `leaf_size`, the expansion
-/// policy, ...) must never alias, so parameters are folded in with the full
-/// SplitMix64 finaliser rather than a cheap xor — a single-bit parameter
-/// change reshuffles the whole key.  Each artifact kind additionally salts
+/// sweeps differing in any parameter (`min_pts`, `leaf_size`, ...) must
+/// never alias, so parameters are folded in with the full SplitMix64
+/// finaliser rather than a cheap xor — a single-bit parameter change
+/// reshuffles the whole key.  Each artifact kind additionally salts
 /// with its own `ArtifactTag`, so e.g. a kd-tree and the core distances of
 /// the same point set can never collide even before the type check the
 /// ArtifactCache performs.

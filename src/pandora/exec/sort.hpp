@@ -14,9 +14,9 @@
 /// Parallel sorting.
 ///
 /// Two algorithms are provided, both stable:
-///  * `merge_sort` — comparison-based; the reference/fallback for the initial
-///    descending-weight edge sort of Section 3.1.1 (selected per Executor via
-///    `EdgeSortAlgorithm::merge`).
+///  * `merge_sort` — comparison-based; the initial descending-weight edge
+///    sort of Section 3.1.1 falls back to it only when the input's 32-bit
+///    weight prefixes separate almost nothing (see `sort_edges`).
 ///  * `radix_sort_u64` — an LSD radix sort over packed 64-bit keys, optionally
 ///    restricted to a byte range.  It carries the whole hot path: the (chain,
 ///    index) sort of the expansion stage (Section 3.3.3) and — through the

@@ -80,7 +80,7 @@ HdbscanResult hdbscan_with_fingerprint(const exec::Executor& exec,
   });
 
   if (options.dendrogram_algorithm == DendrogramAlgorithm::pandora) {
-    result.dendrogram = dendrogram::pandora_dendrogram(exec, result.mst, points.size());
+    result.dendrogram = *dendrogram::pandora_dendrogram_cached(exec, result.mst, points.size());
   } else {
     result.dendrogram = dendrogram::union_find_dendrogram(exec, result.mst, points.size());
   }

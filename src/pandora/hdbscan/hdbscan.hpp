@@ -52,10 +52,10 @@ struct HdbscanResult {
 /// optimal flat clusters.  Repeated calls on one Executor reuse its
 /// workspace arena, so steady-state queries allocate far less than the
 /// first call; with artifact caching on (the default) the kd-tree, the
-/// per-mpts core distances and the per-mpts mutual-reachability EMST also
-/// replay from the Executor's ArtifactCache, so repeated queries against one
-/// point set — and mpts sweeps, which share the tree — skip the
-/// corresponding phases entirely.
+/// per-mpts core distances, the per-mpts mutual-reachability EMST and its
+/// PANDORA dendrogram also replay from the Executor's ArtifactCache, so
+/// repeated queries against one point set — and mpts sweeps, which share the
+/// tree — skip the corresponding phases entirely.
 ///
 /// `points_fingerprint` overrides the content hash the caches key on: a
 /// caller that already ran `point_set_fingerprint` shares the pass, and a

@@ -18,7 +18,7 @@ dendrogram::Dendrogram Pipeline::build_dendrogram(const graph::EdgeList& mst,
   return cancellable([&] {
     if (options_.dendrogram_algorithm == hdbscan::DendrogramAlgorithm::union_find)
       return dendrogram::union_find_dendrogram(*executor_, mst, num_vertices, validate_input_);
-    return dendrogram::pandora_dendrogram(*executor_, mst, num_vertices, pandora_options());
+    return dendrogram::pandora_dendrogram(*executor_, mst, num_vertices, validate_input_);
   });
 }
 
@@ -29,7 +29,7 @@ void Pipeline::build_dendrogram_into(const graph::EdgeList& mst, index_t num_ver
       out = dendrogram::union_find_dendrogram(*executor_, mst, num_vertices, validate_input_);
       return;
     }
-    dendrogram::pandora_dendrogram_into(*executor_, mst, num_vertices, pandora_options(), out);
+    dendrogram::pandora_dendrogram_into(*executor_, mst, num_vertices, out, validate_input_);
   });
 }
 
@@ -37,7 +37,7 @@ dendrogram::Dendrogram Pipeline::build_dendrogram(const dendrogram::SortedEdges&
   return cancellable([&] {
     if (options_.dendrogram_algorithm == hdbscan::DendrogramAlgorithm::union_find)
       return dendrogram::union_find_dendrogram(*executor_, sorted);
-    return dendrogram::pandora_dendrogram(*executor_, sorted, pandora_options());
+    return dendrogram::pandora_dendrogram(*executor_, sorted);
   });
 }
 

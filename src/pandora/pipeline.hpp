@@ -21,7 +21,7 @@ namespace pandora {
 
 /// The fluent front door of the library: one builder configuring the whole
 /// clustering pipeline against an Executor, replacing ad-hoc
-/// `PandoraOptions` / `HdbscanOptions` field-poking at call sites:
+/// `HdbscanOptions` field-poking at call sites:
 ///
 ///   exec::Executor executor;                       // reused across queries
 ///   auto dendrogram = Pipeline::on(executor)
@@ -87,20 +87,6 @@ class Pipeline {
   /// Which dendrogram algorithm the pipeline runs (PANDORA by default).
   Pipeline& with_dendrogram_algorithm(hdbscan::DendrogramAlgorithm algorithm) {
     options_.dendrogram_algorithm = algorithm;
-    return *this;
-  }
-
-  /// PANDORA expansion policy (multilevel by default).
-  Pipeline& with_expansion(dendrogram::ExpansionPolicy policy) {
-    expansion_ = policy;
-    return *this;
-  }
-
-  /// Which algorithm runs the Section 3.1.1 edge sort (key-packed radix by
-  /// default; merge is the comparison-based reference).  Applies to the
-  /// executor, so it persists across pipelines sharing it.
-  Pipeline& with_edge_sort(exec::EdgeSortAlgorithm algorithm) {
-    executor_->set_edge_sort_algorithm(algorithm);
     return *this;
   }
 
@@ -251,17 +237,11 @@ class Pipeline {
   ///   stream.insert(new_point);                       // incremental repair
   ///   const auto& dendrogram = stream.dendrogram();   // already current
   ///
-  /// The zero-argument form carries the pipeline's expansion policy over;
-  /// passing explicit DynamicOptions takes them verbatim (including their
-  /// own expansion).  HDBSCAN* options apply when calling
+  /// `options` configure the stream's kd index; the pipeline's own settings
+  /// do not carry over.  HDBSCAN* options apply when calling
   /// `stream.hdbscan()` (pass them there — the stream outlives this
   /// builder).
-  [[nodiscard]] dyn::DynamicClustering dynamic() const {
-    dyn::DynamicOptions options;
-    options.expansion = expansion_;
-    return dyn::DynamicClustering(*executor_, options);
-  }
-  [[nodiscard]] dyn::DynamicClustering dynamic(dyn::DynamicOptions options) const {
+  [[nodiscard]] dyn::DynamicClustering dynamic(dyn::DynamicOptions options = {}) const {
     return dyn::DynamicClustering(*executor_, options);
   }
 
@@ -269,14 +249,10 @@ class Pipeline {
   /// side is bound to this pipeline's executor.  Writers mutate and publish;
   /// readers `acquire()` pinned snapshots from their own threads and query
   /// them through `Pipeline::on_snapshot` (writers never block readers —
-  /// see published_clustering.hpp).  The zero-argument form carries the
-  /// pipeline's expansion policy over.
-  [[nodiscard]] snapshot::PublishedClustering published() const {
-    snapshot::PublishedOptions options;
-    options.dynamic.expansion = expansion_;
-    return snapshot::PublishedClustering(*executor_, options);
-  }
-  [[nodiscard]] snapshot::PublishedClustering published(snapshot::PublishedOptions options) const {
+  /// see published_clustering.hpp).  `options` are taken verbatim; the
+  /// pipeline's own settings do not carry over.
+  [[nodiscard]] snapshot::PublishedClustering published(
+      snapshot::PublishedOptions options = {}) const {
     return snapshot::PublishedClustering(*executor_, options);
   }
 
@@ -284,13 +260,6 @@ class Pipeline {
 
  private:
   explicit Pipeline(const exec::Executor& executor) : executor_(&executor) {}
-
-  [[nodiscard]] dendrogram::PandoraOptions pandora_options() const {
-    dendrogram::PandoraOptions options;
-    options.expansion = expansion_;
-    options.validate_input = validate_input_;
-    return options;
-  }
 
   /// Runs one terminal operation under the configured cancellation scope: a
   /// fresh deadline token (parented on the external token, so either firing
@@ -313,7 +282,6 @@ class Pipeline {
   const exec::Executor* executor_;
   const snapshot::Snapshot* snapshot_ = nullptr;
   hdbscan::HdbscanOptions options_;
-  dendrogram::ExpansionPolicy expansion_ = dendrogram::ExpansionPolicy::multilevel;
   bool validate_input_ = false;
   std::chrono::nanoseconds deadline_{0};
   const exec::CancellationToken* cancellation_ = nullptr;

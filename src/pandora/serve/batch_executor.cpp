@@ -79,10 +79,9 @@ std::vector<JobResult> BatchExecutor::run_jobs(std::span<Job> jobs) {
   const std::lock_guard<std::mutex> batch_lock(*batch_mutex_);
 
   // Policy toggles on the parent propagate to the slots at batch start (the
-  // parent may have flipped caching or the sort algorithm since last run).
+  // parent may have flipped caching since the last run).
   for (const auto& slot : slots_) {
     slot->set_artifact_caching(parent_->artifact_caching());
-    slot->set_edge_sort_algorithm(parent_->edge_sort_algorithm());
     // Tracing enabled on the parent covers the whole batch: slot workers
     // record into the same (thread-safe) recorder, each on its own ring.
     slot->set_trace_recorder(parent_->trace_recorder());
@@ -309,8 +308,8 @@ void BatchExecutor::build_dendrograms_into(std::span<const DendrogramQuery> quer
     PANDORA_EXPECT(query.mst != nullptr, "DendrogramQuery::mst must be set");
     jobs.push_back(Job{
         [&query, &slot = out[i]](const exec::Executor& exec) {
-          dendrogram::pandora_dendrogram_into(exec, *query.mst, query.num_vertices,
-                                              query.options, slot);
+          dendrogram::pandora_dendrogram_into(exec, *query.mst, query.num_vertices, slot,
+                                              query.validate_input);
         },
         static_cast<size_type>(query.mst->size()),
     });

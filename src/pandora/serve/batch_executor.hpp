@@ -49,7 +49,7 @@ namespace pandora::serve {
 struct DendrogramQuery {
   const graph::EdgeList* mst = nullptr;
   index_t num_vertices = 0;
-  dendrogram::PandoraOptions options = {};
+  bool validate_input = false;  ///< reject MSTs that are not spanning trees
 };
 
 /// One HDBSCAN* query of a batch: cluster `*points` under `options`.

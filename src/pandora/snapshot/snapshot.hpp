@@ -73,9 +73,6 @@ class Snapshot {
   [[nodiscard]] const dendrogram::Dendrogram& dendrogram() const noexcept {
     return *bundle_.dendrogram;
   }
-  [[nodiscard]] dendrogram::ExpansionPolicy expansion() const noexcept {
-    return bundle_.expansion;
-  }
 
   /// The kd-tree over the snapshot's points, built lazily by the first
   /// reader that needs it (concurrent first readers block on one build

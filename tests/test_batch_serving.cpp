@@ -44,7 +44,7 @@ TEST(BatchExecutor, BatchedDendrogramsMatchSequential) {
 
   std::vector<serve::DendrogramQuery> queries;
   for (std::size_t i = 0; i < trees.size(); ++i)
-    queries.push_back({&trees[i], sizes[i], {}});
+    queries.push_back({&trees[i], sizes[i]});
 
   const std::vector<dendrogram::Dendrogram> batched = batch.build_dendrograms(queries);
 
@@ -101,7 +101,7 @@ TEST(BatchExecutor, SlotArenasReachSteadyState) {
   // everything from recycled per-slot blocks.
   const std::vector<graph::EdgeList> trees = make_batch_trees(4000, 8);
   std::vector<serve::DendrogramQuery> queries;
-  for (const auto& tree : trees) queries.push_back({&tree, 4000, {}});
+  for (const auto& tree : trees) queries.push_back({&tree, 4000});
 
   const auto total_misses = [&] {
     std::size_t misses = 0;
@@ -135,7 +135,7 @@ TEST(BatchExecutor, SlotsShareTheParentArtifactCache) {
   (void)dendrogram::sorted_edges_cached(parent, tree, 3000);
   const auto warm_stats = parent.artifact_cache().stats();
 
-  std::vector<serve::DendrogramQuery> queries(8, serve::DendrogramQuery{&tree, 3000, {}});
+  std::vector<serve::DendrogramQuery> queries(8, serve::DendrogramQuery{&tree, 3000});
   const std::vector<dendrogram::Dendrogram> results = batch.build_dendrograms(queries);
   const auto stats = parent.artifact_cache().stats();
   EXPECT_GE(stats.hits - warm_stats.hits, queries.size())
@@ -154,7 +154,7 @@ TEST(BatchExecutor, OverlappedAndSequentialPhasesAgree) {
   for (std::size_t i = 0; i < sizes.size(); ++i)
     trees.push_back(make_tree(Topology::random_attach, sizes[i], 11 * i + 3, 0));
   std::vector<serve::DendrogramQuery> queries;
-  for (std::size_t i = 0; i < trees.size(); ++i) queries.push_back({&trees[i], sizes[i], {}});
+  for (std::size_t i = 0; i < trees.size(); ++i) queries.push_back({&trees[i], sizes[i]});
 
   serve::BatchOptions overlapped_options;
   overlapped_options.num_slots = 2;
@@ -215,7 +215,7 @@ TEST(BatchExecutor, ExceptionsAreIsolatedPerJob) {
   graph::EdgeList not_a_tree = tree;
   not_a_tree[0] = not_a_tree[1];  // a duplicate edge: not a spanning tree
   const std::vector<serve::DendrogramQuery> queries = {
-      {&tree, 500, {}}, {&not_a_tree, 500, {.validate_input = true}}, {&tree, 500, {}}};
+      {&tree, 500}, {&not_a_tree, 500, /*validate_input=*/true}, {&tree, 500}};
   std::vector<dendrogram::Dendrogram> out;
   EXPECT_THROW(batch.build_dendrograms_into(queries, out), std::invalid_argument);
   ASSERT_EQ(out.size(), 3u);
@@ -267,7 +267,7 @@ TEST(BatchExecutor, PipelineBatchFrontDoor) {
   const exec::Executor executor(exec::default_backend(), 2);
   const std::vector<graph::EdgeList> trees = make_batch_trees(1500, 3);
   std::vector<serve::DendrogramQuery> queries;
-  for (const auto& tree : trees) queries.push_back({&tree, 1500, {}});
+  for (const auto& tree : trees) queries.push_back({&tree, 1500});
 
   serve::BatchExecutor batch = Pipeline::on(executor).batch();
   const auto dendrograms = batch.build_dendrograms(queries);

@@ -5,9 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "pandora/dendrogram/analysis.hpp"
-#include "pandora/dendrogram/top_down.hpp"
 #include "pandora/dendrogram/union_find_dendrogram.hpp"
 #include "test_helpers.hpp"
+#include "top_down_oracle.hpp"
 
 namespace {
 
@@ -77,19 +77,19 @@ TEST(TopDownDendrogram, MatchesUnionFindOnPaperStyleExample) {
   graph::EdgeList tree = data::preferential_attachment_tree(12, rng);
   data::assign_random_weights(tree, rng);
   const Dendrogram a = dendrogram::union_find_dendrogram(exec::default_executor(), tree, 12);
-  const Dendrogram b = dendrogram::top_down_dendrogram(tree, 12);
+  const Dendrogram b = pandora::testing::top_down_dendrogram(tree, 12);
   EXPECT_EQ(a.parent, b.parent);
 }
 
 TEST(TopDownDendrogram, HandlesSingleEdgeAndTwoEdges) {
   {
     const graph::EdgeList tree{{0, 1, 1.0}};
-    const Dendrogram d = dendrogram::top_down_dendrogram(tree, 2);
+    const Dendrogram d = pandora::testing::top_down_dendrogram(tree, 2);
     EXPECT_EQ(d.parent[0], kNone);
   }
   {
     const graph::EdgeList tree{{0, 1, 2.0}, {1, 2, 1.0}};
-    const Dendrogram d = dendrogram::top_down_dendrogram(tree, 3);
+    const Dendrogram d = pandora::testing::top_down_dendrogram(tree, 3);
     EXPECT_EQ(d.parent[0], kNone);
     EXPECT_EQ(d.parent[1], 0);
     // Vertex 0 detaches at the heavy edge; 1 and 2 at the light one.

@@ -9,16 +9,14 @@
 
 #include "pandora/dendrogram/analysis.hpp"
 #include "pandora/dendrogram/pandora.hpp"
-#include "pandora/dendrogram/top_down.hpp"
 #include "pandora/dendrogram/union_find_dendrogram.hpp"
 #include "test_helpers.hpp"
+#include "top_down_oracle.hpp"
 
 namespace {
 
 using namespace pandora;
 using dendrogram::Dendrogram;
-using dendrogram::ExpansionPolicy;
-using dendrogram::PandoraOptions;
 using pandora::testing::Topology;
 using pandora::testing::all_topologies;
 using pandora::testing::make_tree;
@@ -50,16 +48,11 @@ TEST_P(EquivalenceTest, PandoraMatchesUnionFindAllSpacesAndPolicies) {
     dendrogram::validate_dendrogram(reference);
 
     for (const auto& space : exec::registered_backends()) {
-      for (const ExpansionPolicy policy :
-           {ExpansionPolicy::multilevel, ExpansionPolicy::single_level}) {
-        PandoraOptions options;
-        options.expansion = policy;
-        const Dendrogram ours =
-            dendrogram::pandora_dendrogram(exec::default_executor(space), tree, n, options);
+      for (const auto& expansion : pandora::testing::both_expansions()) {
+        const Dendrogram ours = expansion.build(exec::default_executor(space), tree, n);
         ASSERT_EQ(ours.parent, reference.parent)
             << topology_name(topo) << " n=" << n << " seed=" << seed
-            << " space=" << space->name()
-            << " policy=" << (policy == ExpansionPolicy::multilevel ? "multilevel" : "single");
+            << " space=" << space->name() << " expansion=" << expansion.name;
         ASSERT_EQ(ours.edge_order, reference.edge_order);
         ASSERT_EQ(ours.weight, reference.weight);
       }
@@ -73,7 +66,7 @@ TEST_P(EquivalenceTest, TopDownAgreesOnSmallTrees) {
   for (std::uint64_t seed = 0; seed < 3; ++seed) {
     const graph::EdgeList tree = make_tree(topo, n, seed, distinct);
     const Dendrogram reference = dendrogram::union_find_dendrogram(exec::default_executor(), tree, n);
-    const Dendrogram top_down = dendrogram::top_down_dendrogram(tree, n);
+    const Dendrogram top_down = pandora::testing::top_down_dendrogram(tree, n);
     ASSERT_EQ(top_down.parent, reference.parent)
         << topology_name(topo) << " n=" << n << " seed=" << seed;
   }

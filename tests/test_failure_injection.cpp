@@ -17,29 +17,24 @@
 namespace {
 
 using namespace pandora;
-using dendrogram::PandoraOptions;
 
-PandoraOptions validating() {
-  PandoraOptions options;
-  options.validate_input = true;
-  return options;
-}
+constexpr bool validating = true;  // the trailing validate_input argument
 
 TEST(FailureInjection, CycleRejected) {
   const graph::EdgeList cycle{{0, 1, 1.0}, {1, 2, 2.0}, {2, 0, 3.0}};
-  EXPECT_THROW((void)dendrogram::pandora_dendrogram(exec::default_executor(), cycle, 3, validating()),
+  EXPECT_THROW((void)dendrogram::pandora_dendrogram(exec::default_executor(), cycle, 3, validating),
                std::invalid_argument);
 }
 
 TEST(FailureInjection, ForestRejected) {
   const graph::EdgeList forest{{0, 1, 1.0}, {2, 3, 2.0}};
-  EXPECT_THROW((void)dendrogram::pandora_dendrogram(exec::default_executor(), forest, 4, validating()),
+  EXPECT_THROW((void)dendrogram::pandora_dendrogram(exec::default_executor(), forest, 4, validating),
                std::invalid_argument);
 }
 
 TEST(FailureInjection, SelfLoopRejected) {
   const graph::EdgeList self_loop{{0, 0, 1.0}, {0, 1, 2.0}};
-  EXPECT_THROW((void)dendrogram::pandora_dendrogram(exec::default_executor(), self_loop, 2, validating()),
+  EXPECT_THROW((void)dendrogram::pandora_dendrogram(exec::default_executor(), self_loop, 2, validating),
                std::invalid_argument);
 }
 
@@ -57,19 +52,19 @@ TEST(FailureInjection, UnvalidatedMultigraphFailsFastInsteadOfCorrupting) {
 
 TEST(FailureInjection, OutOfRangeEndpointRejected) {
   const graph::EdgeList bad{{0, 5, 1.0}};
-  EXPECT_THROW((void)dendrogram::pandora_dendrogram(exec::default_executor(), bad, 2, validating()),
+  EXPECT_THROW((void)dendrogram::pandora_dendrogram(exec::default_executor(), bad, 2, validating),
                std::invalid_argument);
 }
 
 TEST(FailureInjection, NanAndNegativeWeightsRejected) {
   const graph::EdgeList nan_edge{{0, 1, std::numeric_limits<double>::quiet_NaN()}};
-  EXPECT_THROW((void)dendrogram::pandora_dendrogram(exec::default_executor(), nan_edge, 2, validating()),
+  EXPECT_THROW((void)dendrogram::pandora_dendrogram(exec::default_executor(), nan_edge, 2, validating),
                std::invalid_argument);
   const graph::EdgeList inf_edge{{0, 1, std::numeric_limits<double>::infinity()}};
-  EXPECT_THROW((void)dendrogram::pandora_dendrogram(exec::default_executor(), inf_edge, 2, validating()),
+  EXPECT_THROW((void)dendrogram::pandora_dendrogram(exec::default_executor(), inf_edge, 2, validating),
                std::invalid_argument);
   const graph::EdgeList negative{{0, 1, -1.0}};
-  EXPECT_THROW((void)dendrogram::pandora_dendrogram(exec::default_executor(), negative, 2, validating()),
+  EXPECT_THROW((void)dendrogram::pandora_dendrogram(exec::default_executor(), negative, 2, validating),
                std::invalid_argument);
 }
 
@@ -86,7 +81,7 @@ TEST(FailureInjection, ValidationOffMeansCallerContract) {
   const graph::EdgeList tree = pandora::testing::make_tree(
       pandora::testing::Topology::random_attach, 128, 3);
   EXPECT_NO_THROW((void)dendrogram::pandora_dendrogram(exec::default_executor(), tree, 128));
-  EXPECT_NO_THROW((void)dendrogram::pandora_dendrogram(exec::default_executor(), tree, 128, validating()));
+  EXPECT_NO_THROW((void)dendrogram::pandora_dendrogram(exec::default_executor(), tree, 128, validating));
 }
 
 TEST(FailureInjection, HdbscanRejectsEmptyInput) {

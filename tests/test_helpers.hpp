@@ -1,10 +1,13 @@
 #pragma once
 
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "pandora/common/rng.hpp"
 #include "pandora/data/tree_generators.hpp"
+#include "pandora/dendrogram/expansion.hpp"
+#include "pandora/dendrogram/pandora.hpp"
 #include "pandora/graph/edge.hpp"
 
 namespace pandora::testing {
@@ -60,5 +63,25 @@ inline graph::EdgeList make_tree(Topology topology, index_t num_vertices, std::u
   data::assign_random_weights(edges, rng, distinct_weights);
   return edges;
 }
+
+/// The two expansions of Section 3.3 as interchangeable MST -> dendrogram
+/// builders: PANDORA's multilevel expansion and the single-level baseline.
+/// The suites run both and demand bit-identical dendrograms.
+struct Expansion {
+  const char* name;
+  dendrogram::Dendrogram (*build)(const exec::Executor&, const graph::EdgeList&, index_t);
+};
+
+inline std::vector<Expansion> both_expansions() {
+  return {{"multilevel",
+           [](const exec::Executor& exec, const graph::EdgeList& mst, index_t n) {
+             return dendrogram::pandora_dendrogram(exec, mst, n);
+           }},
+          {"single_level", [](const exec::Executor& exec, const graph::EdgeList& mst, index_t n) {
+             return dendrogram::single_level_dendrogram(exec, mst, n);
+           }}};
+}
+
+inline void PrintTo(const Expansion& expansion, std::ostream* os) { *os << expansion.name; }
 
 }  // namespace pandora::testing

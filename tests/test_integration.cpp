@@ -8,6 +8,7 @@
 
 #include "pandora/data/point_generators.hpp"
 #include "pandora/dendrogram/analysis.hpp"
+#include "pandora/dendrogram/expansion.hpp"
 #include "pandora/dendrogram/pandora.hpp"
 #include "pandora/dendrogram/union_find_dendrogram.hpp"
 #include "pandora/graph/mst.hpp"
@@ -47,12 +48,9 @@ TEST_P(DatasetSweep, FullPipelineAgreesAcrossAlgorithmsAndSpaces) {
   dendrogram::validate_dendrogram(reference);
 
   for (const auto& space : exec::registered_backends()) {
-    for (const auto policy : {dendrogram::ExpansionPolicy::multilevel,
-                              dendrogram::ExpansionPolicy::single_level}) {
-      dendrogram::PandoraOptions options;
-      options.expansion = policy;
-      const Dendrogram ours =
-          dendrogram::pandora_dendrogram(exec::default_executor(space), mst, n, options);
+    const exec::Executor& executor = exec::default_executor(space);
+    for (const Dendrogram& ours : {dendrogram::pandora_dendrogram(executor, mst, n),
+                                   dendrogram::single_level_dendrogram(executor, mst, n)}) {
       ASSERT_EQ(ours.parent, reference.parent)
           << GetParam() << " space=" << space->name();
     }

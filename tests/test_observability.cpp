@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "pandora/data/point_generators.hpp"
+#include "pandora/dendrogram/expansion.hpp"
 #include "pandora/dendrogram/mixed.hpp"
 #include "pandora/dendrogram/pandora.hpp"
 #include "pandora/dendrogram/union_find_dendrogram.hpp"
@@ -316,12 +317,10 @@ TEST(Observability, PhaseTimesKeysAreThePhaseSpansOfEveryDriver) {
   const spatial::PointSet points = data::gaussian_blobs(1500, 2, 3, 0.05, 0.1, 9);
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(threads);
-    for (const auto policy :
-         {dendrogram::ExpansionPolicy::multilevel, dendrogram::ExpansionPolicy::single_level}) {
+    for (const auto& expansion : pandora::testing::both_expansions()) {
       EXPECT_EQ(traced_phase_keys(threads,
                                   [&](const exec::Executor& exec) {
-                                    (void)dendrogram::pandora_dendrogram(
-                                        exec, tree, nv, {.expansion = policy});
+                                    (void)expansion.build(exec, tree, nv);
                                   }),
                 pandora_keys);
     }
@@ -500,14 +499,10 @@ TEST(Observability, RadixPassCounterRecordsScatterPassesRun) {
     graph::EdgeList star = data::star_tree(nv);
     data::assign_increasing_weights(star);
     const dendrogram::SortedEdges sorted = dendrogram::sort_edges(executor, star, nv);
-    for (const auto policy :
-         {dendrogram::ExpansionPolicy::multilevel, dendrogram::ExpansionPolicy::single_level}) {
-      EXPECT_EQ(passes_of([&] {
-                  (void)dendrogram::pandora_dendrogram(executor, sorted, {.expansion = policy});
-                }),
-                0u)
-          << threads << " threads";
-    }
+    EXPECT_EQ(passes_of([&] { (void)dendrogram::pandora_dendrogram(executor, sorted); }), 0u)
+        << threads << " threads";
+    EXPECT_EQ(passes_of([&] { (void)dendrogram::single_level_dendrogram(executor, sorted); }), 0u)
+        << threads << " threads";
   }
 
   // Recording stays allocation-free: a warm sort adds to the counter

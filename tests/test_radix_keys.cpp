@@ -1,6 +1,6 @@
 // The order-preserving key transforms behind the key-packed radix edge sort
-// (Section 3.1.1), and the bit-identity of the radix path against the
-// comparison-based merge reference on adversarial weight patterns: negative
+// (Section 3.1.1), and the bit-identity of `sort_edges` against a
+// std::stable_sort reference on adversarial weight patterns: negative
 // weights, ±0.0, infinities, denormals, duplicates with id tie-breaks, and
 // weights colliding in the packed 32-bit key prefix (the run fix-up path).
 
@@ -95,46 +95,55 @@ std::vector<index_t> reference_order(const graph::EdgeList& edges) {
   return order;
 }
 
-void expect_radix_matches_merge(const graph::EdgeList& tree, index_t nv, const char* what) {
+/// The canonical SortedEdges gathered from `reference_order`.
+SortedEdges reference_sorted(const graph::EdgeList& edges, index_t nv) {
+  SortedEdges sorted;
+  sorted.num_vertices = nv;
+  sorted.order = reference_order(edges);
+  for (const index_t i : sorted.order) {
+    const graph::WeightedEdge& e = edges[static_cast<std::size_t>(i)];
+    sorted.u.push_back(e.u);
+    sorted.v.push_back(e.v);
+    sorted.weight.push_back(e.weight);
+  }
+  return sorted;
+}
+
+void expect_sort_matches_reference(const graph::EdgeList& tree, index_t nv, const char* what) {
+  const SortedEdges reference = reference_sorted(tree, nv);
   for (const auto& space : exec::registered_backends()) {
     const exec::Executor executor(space, 4);
     executor.set_artifact_caching(false);
 
-    executor.set_edge_sort_algorithm(exec::EdgeSortAlgorithm::radix);
-    const SortedEdges via_radix = dendrogram::sort_edges(executor, tree, nv);
-    executor.set_edge_sort_algorithm(exec::EdgeSortAlgorithm::merge);
-    const SortedEdges via_merge = dendrogram::sort_edges(executor, tree, nv);
-
-    ASSERT_EQ(via_radix.order, via_merge.order) << what << " " << executor.name();
-    ASSERT_EQ(via_radix.u, via_merge.u) << what;
-    ASSERT_EQ(via_radix.v, via_merge.v) << what;
-    ASSERT_EQ(via_radix.weight, via_merge.weight) << what;
-    ASSERT_EQ(via_radix.order, reference_order(tree)) << what;
+    const SortedEdges sorted = dendrogram::sort_edges(executor, tree, nv);
+    ASSERT_EQ(sorted.order, reference.order) << what << " " << executor.name();
+    ASSERT_EQ(sorted.u, reference.u) << what;
+    ASSERT_EQ(sorted.v, reference.v) << what;
+    ASSERT_EQ(sorted.weight, reference.weight) << what;
 
     // And the dendrograms built on top are bit-identical.
-    executor.set_edge_sort_algorithm(exec::EdgeSortAlgorithm::radix);
-    const auto d_radix = dendrogram::pandora_dendrogram(executor, via_radix);
-    const auto d_merge = dendrogram::pandora_dendrogram(executor, via_merge);
-    ASSERT_EQ(d_radix.parent, d_merge.parent) << what;
-    ASSERT_EQ(d_radix.edge_order, d_merge.edge_order) << what;
+    const auto d_sorted = dendrogram::pandora_dendrogram(executor, sorted);
+    const auto d_reference = dendrogram::pandora_dendrogram(executor, reference);
+    ASSERT_EQ(d_sorted.parent, d_reference.parent) << what;
+    ASSERT_EQ(d_sorted.edge_order, d_reference.edge_order) << what;
   }
 }
 
-TEST(RadixEdgeSort, MatchesMergeOnRandomTrees) {
+TEST(RadixEdgeSort, MatchesReferenceOnRandomTrees) {
   for (const Topology topo : all_topologies()) {
     const graph::EdgeList tree = make_tree(topo, 4000, 23, /*distinct=*/0);
-    expect_radix_matches_merge(tree, 4000, topology_name(topo));
+    expect_sort_matches_reference(tree, 4000, topology_name(topo));
   }
 }
 
-TEST(RadixEdgeSort, MatchesMergeOnHeavyTies) {
+TEST(RadixEdgeSort, MatchesReferenceOnHeavyTies) {
   for (const int distinct : {1, 2, 5}) {
     const graph::EdgeList tree = make_tree(Topology::caterpillar, 6000, 3, distinct);
-    expect_radix_matches_merge(tree, 6000, "ties");
+    expect_sort_matches_reference(tree, 6000, "ties");
   }
 }
 
-TEST(RadixEdgeSort, MatchesMergeOnAdversarialWeights) {
+TEST(RadixEdgeSort, MatchesReferenceOnAdversarialWeights) {
   // Negative weights, ±0.0, denormals and infinities cycled over a random
   // tree.  (The library's validated inputs are finite and non-negative, but
   // the canonical sort order must hold for any NaN-free weights.)
@@ -142,10 +151,10 @@ TEST(RadixEdgeSort, MatchesMergeOnAdversarialWeights) {
   const std::vector<double> specials = adversarial_doubles();
   for (std::size_t i = 0; i < tree.size(); ++i)
     tree[i].weight = specials[i % specials.size()];
-  expect_radix_matches_merge(tree, 3000, "specials");
+  expect_sort_matches_reference(tree, 3000, "specials");
 }
 
-TEST(RadixEdgeSort, MatchesMergeWhenKeyPrefixesCollide) {
+TEST(RadixEdgeSort, MatchesReferenceWhenKeyPrefixesCollide) {
   // Weights that agree in the high 32 bits of the packed key but differ
   // below: 1.0 + k * 2^-45 all share the prefix.  With EVERY weight
   // colliding the radix path detects the degenerate repair and falls back to
@@ -157,15 +166,15 @@ TEST(RadixEdgeSort, MatchesMergeWhenKeyPrefixesCollide) {
         static_cast<double>(rng.next_below(1 << 20)) * std::pow(2.0, -45);
     e.weight = 1.0 + offset;
   }
-  expect_radix_matches_merge(tree, 5000, "all prefixes collide (fallback)");
+  expect_sort_matches_reference(tree, 5000, "all prefixes collide (fallback)");
 
   // A few exact duplicates inside the colliding range exercise the stable
   // id tie-break too.
   for (std::size_t i = 0; i + 10 < tree.size(); i += 10) tree[i + 5].weight = tree[i].weight;
-  expect_radix_matches_merge(tree, 5000, "collisions + duplicates");
+  expect_sort_matches_reference(tree, 5000, "collisions + duplicates");
 }
 
-TEST(RadixEdgeSort, MatchesMergeWithSparsePrefixCollisions) {
+TEST(RadixEdgeSort, MatchesReferenceWithSparsePrefixCollisions) {
   // ~10% of edges form sub-prefix collision runs among otherwise well-spread
   // weights: the repair pass itself (not the fallback) fixes these runs.
   graph::EdgeList tree = make_tree(Topology::random_attach, 8000, 21, 0);
@@ -179,7 +188,7 @@ TEST(RadixEdgeSort, MatchesMergeWithSparsePrefixCollisions) {
     if (i + 1 < tree.size()) tree[i + 1].weight = base + 1 * std::pow(2.0, -30);
     if (i + 2 < tree.size()) tree[i + 2].weight = base + 2 * std::pow(2.0, -30);
   }
-  expect_radix_matches_merge(tree, 8000, "sparse prefix collisions");
+  expect_sort_matches_reference(tree, 8000, "sparse prefix collisions");
 }
 
 TEST(RadixEdgeSort, MixedZerosKeepIdTieBreak) {
@@ -188,7 +197,7 @@ TEST(RadixEdgeSort, MixedZerosKeepIdTieBreak) {
   graph::EdgeList tree = make_tree(Topology::broom, 2000, 13, 0);
   for (std::size_t i = 0; i < tree.size(); ++i)
     tree[i].weight = (i % 3 == 0) ? -0.0 : 0.0;
-  expect_radix_matches_merge(tree, 2000, "signed zeros");
+  expect_sort_matches_reference(tree, 2000, "signed zeros");
 
   const exec::Executor executor(exec::serial_backend());
   const SortedEdges sorted = dendrogram::sort_edges(executor, tree, 2000);

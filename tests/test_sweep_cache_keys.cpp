@@ -141,26 +141,51 @@ TEST(EmstCache, MptsValuesNeverAliasAndSweepsSkipBoruvka) {
   EXPECT_EQ(sweep.mst, *at4);
 }
 
-TEST(DendrogramCache, KeyedOnMstAndExpansionPolicy) {
+TEST(DendrogramCache, KeyedOnMst) {
   const exec::Executor executor(exec::serial_backend());
   const graph::EdgeList tree = make_tree(Topology::random_attach, 4000, 5, 0);
 
-  const auto multilevel = dendrogram::pandora_dendrogram_cached(executor, tree, 4000);
+  const auto cached = dendrogram::pandora_dendrogram_cached(executor, tree, 4000);
   const auto again = dendrogram::pandora_dendrogram_cached(executor, tree, 4000);
-  EXPECT_EQ(multilevel.get(), again.get()) << "identical queries replay";
-  EXPECT_EQ(multilevel->parent, dendrogram::pandora_dendrogram(executor, tree, 4000).parent);
-
-  dendrogram::PandoraOptions single;
-  single.expansion = dendrogram::ExpansionPolicy::single_level;
-  const auto single_level = dendrogram::pandora_dendrogram_cached(executor, tree, 4000, single);
-  EXPECT_NE(multilevel.get(), single_level.get()) << "expansion policy is part of the key";
-  EXPECT_EQ(single_level->parent, multilevel->parent)
-      << "both policies build the same dendrogram (different keys, same result)";
+  EXPECT_EQ(cached.get(), again.get()) << "identical queries replay";
+  EXPECT_EQ(cached->parent, dendrogram::pandora_dendrogram(executor, tree, 4000).parent);
 
   graph::EdgeList mutated = tree;
   mutated[2000].weight *= 1.5;
   const auto rebuilt = dendrogram::pandora_dendrogram_cached(executor, mutated, 4000);
-  EXPECT_NE(multilevel.get(), rebuilt.get()) << "mutated MSTs must miss";
+  EXPECT_NE(cached.get(), rebuilt.get()) << "mutated MSTs must miss";
+}
+
+TEST(DendrogramCache, RepeatedHdbscanReplaysTheDendrogram) {
+  // A second hdbscan() over the same points on the same executor replays the
+  // dendrogram from the cache: no contraction or expansion phase runs, and
+  // the result is bit-identical to the first call's.
+  const spatial::PointSet points = data::gaussian_blobs(1200, 2, 3, 0.05, 0.2, 17);
+  for (const int threads : {1, 4}) {
+    const exec::Executor executor(exec::default_backend(), threads);
+    hdbscan::HdbscanOptions options;
+    options.min_pts = 4;
+
+    PhaseTimes first_times;
+    hdbscan::HdbscanResult first;
+    {
+      const exec::ScopedPhaseTimes scope(executor, &first_times);
+      first = hdbscan::hdbscan(executor, points, options);
+    }
+    EXPECT_EQ(first_times.all().count("contraction"), 1u) << "the cold call builds";
+
+    PhaseTimes second_times;
+    hdbscan::HdbscanResult second;
+    {
+      const exec::ScopedPhaseTimes scope(executor, &second_times);
+      second = hdbscan::hdbscan(executor, points, options);
+    }
+    EXPECT_EQ(second_times.all().count("contraction"), 0u) << threads << " threads";
+    EXPECT_EQ(second_times.all().count("expansion"), 0u) << threads << " threads";
+    EXPECT_EQ(second.dendrogram.parent, first.dendrogram.parent);
+    EXPECT_EQ(second.dendrogram.edge_order, first.dendrogram.edge_order);
+    EXPECT_EQ(second.labels, first.labels);
+  }
 }
 
 TEST(Sweeps, MinClusterSizeSweepMatchesIndependentRuns) {

@@ -1,13 +1,21 @@
-#include "pandora/dendrogram/top_down.hpp"
+#pragma once
+
+// The top-down dendrogram oracle (Algorithm 1 of the paper), header-only
+// because every tests/test_*.cpp builds into its own executable.
 
 #include <algorithm>
 #include <vector>
 
+#include "pandora/common/types.hpp"
+#include "pandora/dendrogram/dendrogram.hpp"
+#include "pandora/dendrogram/sorted_edges.hpp"
+#include "pandora/exec/executor.hpp"
+#include "pandora/graph/edge.hpp"
 #include "pandora/graph/tree.hpp"
 
-namespace pandora::dendrogram {
+namespace pandora::testing {
 
-namespace {
+namespace detail {
 
 struct Component {
   std::vector<index_t> edges;  ///< sorted-edge ids, arbitrary order
@@ -15,19 +23,26 @@ struct Component {
   index_t anchor = kNone;      ///< a vertex inside the component
 };
 
-}  // namespace
+}  // namespace detail
 
-Dendrogram top_down_dendrogram(const SortedEdges& sorted) {
+/// Top-down divide-and-conquer dendrogram construction (Algorithm 1).
+///
+/// Removes the heaviest edge of each component recursively; the removed edge
+/// becomes the parent of the two resulting sub-dendrograms.  O(n·h) work with
+/// h the dendrogram height — quadratic on the skewed dendrograms this paper
+/// targets — so it serves only as a third independent oracle for the
+/// property tests, never for performance.
+inline dendrogram::Dendrogram top_down_dendrogram(const dendrogram::SortedEdges& sorted) {
   const index_t n = sorted.num_edges();
   const index_t nv = sorted.num_vertices;
 
-  Dendrogram dendrogram;
-  dendrogram.num_edges = n;
-  dendrogram.num_vertices = nv;
-  dendrogram.weight = sorted.weight;
-  dendrogram.edge_order = sorted.order;
-  dendrogram.parent.assign(static_cast<std::size_t>(n) + static_cast<std::size_t>(nv), kNone);
-  if (n == 0) return dendrogram;
+  dendrogram::Dendrogram out;
+  out.num_edges = n;
+  out.num_vertices = nv;
+  out.weight = sorted.weight;
+  out.edge_order = sorted.order;
+  out.parent.assign(static_cast<std::size_t>(n) + static_cast<std::size_t>(nv), kNone);
+  if (n == 0) return out;
 
   // Global adjacency over the sorted edges; component membership is tracked
   // with an epoch stamp so splitting costs O(component size).
@@ -41,9 +56,9 @@ Dendrogram top_down_dendrogram(const SortedEdges& sorted) {
   std::vector<index_t> edge_epoch(static_cast<std::size_t>(n), 0);
   index_t epoch = 0;
 
-  std::vector<Component> work;
+  std::vector<detail::Component> work;
   {
-    Component whole;
+    detail::Component whole;
     whole.edges.resize(static_cast<std::size_t>(n));
     for (index_t i = 0; i < n; ++i) whole.edges[static_cast<std::size_t>(i)] = i;
     whole.anchor = sorted.u[0];
@@ -52,13 +67,13 @@ Dendrogram top_down_dendrogram(const SortedEdges& sorted) {
 
   std::vector<index_t> stack;
   while (!work.empty()) {
-    Component comp = std::move(work.back());
+    detail::Component comp = std::move(work.back());
     work.pop_back();
 
     // The heaviest edge (smallest sorted index) roots this sub-dendrogram.
     const index_t heaviest =
         *std::min_element(comp.edges.begin(), comp.edges.end());
-    dendrogram.parent[static_cast<std::size_t>(heaviest)] = comp.parent;
+    out.parent[static_cast<std::size_t>(heaviest)] = comp.parent;
 
     // Stamp the component's remaining edges, then flood from each endpoint of
     // the removed edge to split them into the two sides.
@@ -69,7 +84,7 @@ Dendrogram top_down_dendrogram(const SortedEdges& sorted) {
     for (int side = 0; side < 2; ++side) {
       const index_t start = side == 0 ? sorted.u[static_cast<std::size_t>(heaviest)]
                                       : sorted.v[static_cast<std::size_t>(heaviest)];
-      Component child;
+      detail::Component child;
       child.parent = heaviest;
       child.anchor = start;
       stack.clear();
@@ -87,23 +102,20 @@ Dendrogram top_down_dendrogram(const SortedEdges& sorted) {
       if (child.edges.empty()) {
         // The side collapsed to the lone endpoint: a vertex leaf whose
         // dendrogram parent is the removed edge (Eq. 1).
-        dendrogram.parent[static_cast<std::size_t>(dendrogram.vertex_node(start))] = heaviest;
+        out.parent[static_cast<std::size_t>(out.vertex_node(start))] = heaviest;
       } else {
         work.push_back(std::move(child));
       }
     }
   }
-  return dendrogram;
+  return out;
 }
 
-Dendrogram top_down_dendrogram(const graph::EdgeList& mst, index_t num_vertices) {
-  return top_down_dendrogram(
-      sort_edges(exec::default_executor(exec::serial_backend()), mst, num_vertices));
+/// Convenience overload that sorts internally, serially.
+inline dendrogram::Dendrogram top_down_dendrogram(const graph::EdgeList& mst,
+                                                  index_t num_vertices) {
+  return top_down_dendrogram(dendrogram::sort_edges(
+      exec::default_executor(exec::serial_backend()), mst, num_vertices));
 }
 
-Dendrogram top_down_dendrogram(const exec::Executor& exec, const graph::EdgeList& mst,
-                               index_t num_vertices) {
-  return top_down_dendrogram(sort_edges(exec, mst, num_vertices));
-}
-
-}  // namespace pandora::dendrogram
+}  // namespace pandora::testing
