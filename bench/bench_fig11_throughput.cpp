@@ -17,6 +17,7 @@
 #include "bench_common.hpp"
 #include "pandora/dendrogram/mixed.hpp"
 #include "pandora/dendrogram/sorted_edges.hpp"
+#include "pandora/dendrogram/union_find_dendrogram.hpp"
 #include "pandora/pipeline.hpp"
 
 using namespace pandora;
@@ -41,11 +42,8 @@ int main() {
     const bench::PreparedDataset prepared =
         bench::prepare_dataset(spec.name, n, /*min_pts=*/2, parallel_executor);
 
-    const auto uf_pipeline = Pipeline::on(parallel_executor)
-                                 .with_dendrogram_algorithm(
-                                     hdbscan::DendrogramAlgorithm::union_find);
     const bench::Measurement m_uf = bench::measure(3, [&] {
-      (void)uf_pipeline.build_dendrogram(prepared.mst, prepared.n);
+      (void)dendrogram::union_find_dendrogram(parallel_executor, prepared.mst, prepared.n);
     });
     const bench::Measurement m_mixed = bench::measure(3, [&] {
       (void)dendrogram::mixed_dendrogram(parallel_executor, prepared.mst, prepared.n, 0.1);

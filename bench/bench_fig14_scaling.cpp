@@ -14,6 +14,7 @@
 
 #include "bench_common.hpp"
 #include "pandora/common/rng.hpp"
+#include "pandora/dendrogram/union_find_dendrogram.hpp"
 #include "pandora/pipeline.hpp"
 
 using namespace pandora;
@@ -46,10 +47,8 @@ void run_series(const exec::Executor& executor, const std::string& dataset,
     // Cold construction comparison: the SortedEdges cache off, so every
     // repeat really sorts (comparable across PRs and algorithms).
     executor.set_artifact_caching(false);
-    const auto baseline = Pipeline::on(executor).with_dendrogram_algorithm(
-        hdbscan::DendrogramAlgorithm::union_find);
-    const bench::Measurement m_uf =
-        bench::measure(3, [&] { (void)baseline.build_dendrogram(mst, n); });
+    const bench::Measurement m_uf = bench::measure(
+        3, [&] { (void)dendrogram::union_find_dendrogram(executor, mst, n); });
     const double t_uf = m_uf.best();
 
     const auto pandora_pipeline = Pipeline::on(executor);

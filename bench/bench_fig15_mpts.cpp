@@ -21,6 +21,7 @@
 #include <string>
 
 #include "bench_common.hpp"
+#include "pandora/dendrogram/union_find_dendrogram.hpp"
 #include "pandora/hdbscan/core_distance.hpp"
 #include "pandora/pipeline.hpp"
 
@@ -96,10 +97,8 @@ void run_dataset(const exec::Executor& executor, const std::string& name,
     // Cold dendrogram construction comparison (SortedEdges cache off so
     // repeats sort).
     executor.set_artifact_caching(false);
-    const auto baseline = Pipeline::on(executor).with_dendrogram_algorithm(
-        hdbscan::DendrogramAlgorithm::union_find);
     const bench::Measurement m_uf = bench::measure(3, [&] {
-      (void)baseline.build_dendrogram(mst, n);
+      (void)dendrogram::union_find_dendrogram(executor, mst, n);
     });
     const double t_uf = m_uf.best();
     const auto pandora_pipeline = Pipeline::on(executor);

@@ -77,21 +77,23 @@ std::shared_ptr<const Dendrogram> pandora_dendrogram_cached(const exec::Executor
                                                             const graph::EdgeList& mst,
                                                             index_t num_vertices,
                                                             bool validate_input) {
-  if (!exec.artifact_caching()) {
-    auto owned = std::make_shared<Dendrogram>();
-    pandora_dendrogram_into(exec, mst, num_vertices, *owned, validate_input);
-    return owned;
-  }
-
-  const std::uint64_t key = exec::tagged_fingerprint(exec::ArtifactTag::dendrogram,
-                                                     mst_fingerprint(exec, mst, num_vertices));
-  std::shared_ptr<CachedDendrogram> entry = exec.artifact_cache().find<CachedDendrogram>(key);
-  if (entry == nullptr) {
-    entry = std::make_shared<CachedDendrogram>();
-    entry->validated = validate_input;
-    pandora_dendrogram_into(exec, mst, num_vertices, entry->dendrogram, validate_input);
-    exec.artifact_cache().insert(key, entry, exec.cache_owner());
-  } else if (validate_input && !entry->validated) {
+  std::shared_ptr<CachedDendrogram> entry = exec::cached_artifact<CachedDendrogram>(
+      exec, exec::ArtifactTag::dendrogram,
+      [&] { return mst_fingerprint(exec, mst, num_vertices); },
+      [&] {
+        // The dendrogram carries the sort's weight and edge_order, so the
+        // sort is not cached beside it: a miss hashes the MST once and sorts.
+        SortedEdges sorted;
+        exec.phase("sort", [&] {
+          if (validate_input) graph::validate_tree(mst, num_vertices);
+          sort_edges_into(exec, mst, num_vertices, sorted);
+        });
+        auto built = std::make_shared<CachedDendrogram>();
+        built->validated = validate_input;
+        pandora_dendrogram_into(exec, sorted, built->dendrogram);
+        return built;
+      });
+  if (validate_input && !entry->validated) {  // a hit first built unvalidated
     graph::validate_tree(mst, num_vertices);
     entry->validated = true;
   }

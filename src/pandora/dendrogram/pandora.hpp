@@ -50,7 +50,9 @@ void pandora_dendrogram_into(const exec::Executor& exec, const SortedEdges& sort
 /// replay: the contraction-hierarchy construction and expansion run once, and
 /// every later query only re-condenses the tree (min_cluster_size does not
 /// enter the key because it does not enter the dendrogram).  A mutated MST
-/// derives a different key and misses.  With
+/// derives a different key and misses.  A miss hashes the MST once and sorts
+/// inside the "sort" phase: the entry carries the sort's weight and
+/// edge_order, so no SortedEdges entry is cached beside it.  With
 /// `Executor::set_artifact_caching(false)` every call rebuilds.
 [[nodiscard]] std::shared_ptr<const Dendrogram> pandora_dendrogram_cached(
     const exec::Executor& exec, const graph::EdgeList& mst, index_t num_vertices,

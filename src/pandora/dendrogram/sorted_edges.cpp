@@ -278,25 +278,17 @@ std::shared_ptr<const SortedEdges> sorted_edges_cached(const exec::Executor& exe
                                                        const graph::EdgeList& edges,
                                                        index_t num_vertices,
                                                        bool validate_input) {
-  if (!exec.artifact_caching()) {
-    if (validate_input) graph::validate_tree(edges, num_vertices);
-    auto owned = std::make_shared<CachedSortedEdges>();
-    owned->validated = validate_input;
-    sort_edges_into(exec, edges, num_vertices, owned->sorted);
-    const SortedEdges* view = &owned->sorted;
-    return {std::move(owned), view};
-  }
-
-  const std::uint64_t fingerprint = mst_fingerprint(exec, edges, num_vertices);
-  std::shared_ptr<CachedSortedEdges> entry =
-      exec.artifact_cache().find<CachedSortedEdges>(fingerprint);
-  if (entry == nullptr) {
-    if (validate_input) graph::validate_tree(edges, num_vertices);
-    entry = std::make_shared<CachedSortedEdges>();
-    entry->validated = validate_input;
-    sort_edges_into(exec, edges, num_vertices, entry->sorted);
-    exec.artifact_cache().insert(fingerprint, entry, exec.cache_owner());
-  } else if (validate_input && !entry->validated) {
+  std::shared_ptr<CachedSortedEdges> entry = exec::cached_artifact<CachedSortedEdges>(
+      exec, exec::ArtifactTag::sorted_edges,
+      [&] { return mst_fingerprint(exec, edges, num_vertices); },
+      [&] {
+        if (validate_input) graph::validate_tree(edges, num_vertices);
+        auto built = std::make_shared<CachedSortedEdges>();
+        built->validated = validate_input;
+        sort_edges_into(exec, edges, num_vertices, built->sorted);
+        return built;
+      });
+  if (validate_input && !entry->validated) {  // a hit first built unvalidated
     graph::validate_tree(edges, num_vertices);
     entry->validated = true;
   }

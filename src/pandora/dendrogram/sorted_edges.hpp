@@ -72,7 +72,8 @@ void merge_sorted_edges_delta(const exec::Executor& exec, const SortedEdges& bas
                               SortedEdges& out);
 
 /// Order-sensitive 64-bit fingerprint of an MST (endpoints, weights, edge
-/// order, vertex count) — the key of the cross-call SortedEdges cache.
+/// order, vertex count) — the base key of the cross-call SortedEdges and
+/// dendrogram caches (each salted with its `exec::ArtifactTag`).
 [[nodiscard]] std::uint64_t mst_fingerprint(const exec::Executor& exec,
                                             const graph::EdgeList& edges,
                                             index_t num_vertices);

@@ -1,29 +1,20 @@
 #pragma once
 
-#include <array>
-#include <atomic>
-#include <bit>
-#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <new>
-#include <span>
 #include <string>
 #include <string_view>
-#include <type_traits>
-#include <typeinfo>
-#include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "pandora/common/expect.hpp"
 #include "pandora/common/timer.hpp"
 #include "pandora/common/types.hpp"
+#include "pandora/exec/artifact_cache.hpp"
 #include "pandora/exec/backend.hpp"
 #include "pandora/exec/cancellation.hpp"
 #include "pandora/exec/failpoint.hpp"
 #include "pandora/exec/memory.hpp"
+#include "pandora/exec/workspace.hpp"
 #include "pandora/obs/metrics.hpp"
 #include "pandora/obs/trace.hpp"
 
@@ -34,14 +25,14 @@
 /// reusable scratch memory.  This reproduction mirrors that design: an
 /// `Executor` owns (a) the execution `Backend` (serial / OpenMP / pinned
 /// pool, extensible to a device backend — see backend.hpp), (b) a thread
-/// budget, (c) a reusable `Workspace` arena — allocating through the
+/// budget, (c) a reusable `Workspace` arena (workspace.hpp) — allocating through the
 /// backend's `MemoryResource` — that amortises scratch-buffer allocations
 /// across repeated dendrogram / HDBSCAN* calls on same-sized inputs, (d) the
 /// phase seam `phase()`, which times the drivers' phases into any open
-/// `ScopedPhaseTimes` and the installed trace recorder, (e) the edge-sort
-/// algorithm selection (key-packed radix by default, comparison merge as the
-/// fallback), and (f) an `ArtifactCache` that lets upper layers reuse derived
-/// artifacts (e.g. the canonical SortedEdges of an MST) across calls.  Every
+/// `ScopedPhaseTimes` and the installed trace recorder, and (e) an
+/// `ArtifactCache` (artifact_cache.hpp) that lets upper layers reuse derived
+/// artifacts (e.g. the kd-tree of a point set, the dendrogram of an MST)
+/// across calls through the get-or-build seam `cached_artifact`.  Every
 /// kernel takes a `const Executor&`.  (The old two-value `Space` enum and its
 /// bare-`Space` shims are fully retired; see the README migration table.)
 namespace pandora::exec {
@@ -70,521 +61,8 @@ inline obs::Counter& thread_grants_clamped_metric() {
       obs::registry().counter("pandora_exec_thread_grants_clamped_total");
   return metric;
 }
-inline obs::Counter& workspace_bytes_metric() {
-  static obs::Counter& metric = obs::registry().counter("pandora_workspace_leased_bytes_total");
-  return metric;
-}
-inline obs::Counter& workspace_miss_metric() {
-  static obs::Counter& metric = obs::registry().counter("pandora_workspace_arena_misses_total");
-  return metric;
-}
-inline obs::Counter& cache_hits_metric() {
-  static obs::Counter& metric = obs::registry().counter("pandora_cache_hits_total");
-  return metric;
-}
-inline obs::Counter& cache_misses_metric() {
-  static obs::Counter& metric = obs::registry().counter("pandora_cache_misses_total");
-  return metric;
-}
-inline obs::Counter& cache_evictions_metric() {
-  static obs::Counter& metric = obs::registry().counter("pandora_cache_evictions_total");
-  return metric;
-}
-/// Live pinned entries summed over *all* ArtifactCache instances (each cache
-/// still reports its own exact count via `stats()`).
-inline obs::Gauge& cache_pinned_metric() {
-  static obs::Gauge& metric = obs::registry().gauge("pandora_cache_pinned_slots");
-  return metric;
-}
 
 }  // namespace detail
-
-/// A size-class-aware byte arena handing out typed spans.
-///
-/// Kernels lease scratch with `take` / `take_uninit`; a lease is a typed view
-/// over a recycled 64-byte-aligned block whose size is rounded up to the next
-/// power of two (its *size class*).  When the lease goes out of scope the
-/// block returns to its class's free list, so a second call with same-sized
-/// inputs performs no heap allocation — and because blocks are raw bytes, one
-/// block serves `index_t` scratch on this call and `double` scratch on the
-/// next, which keeps retained memory low on mixed workloads (unlike the old
-/// per-element-type pools).  Free lists are LIFO: identical call sequences
-/// acquire identical blocks, preserving bit-for-bit determinism of anything
-/// that (incorrectly) depended on buffer addresses.
-///
-/// Element types must be trivially copyable and trivially destructible (the
-/// arena never runs constructors or destructors); `take_uninit` hands out the
-/// block's previous bytes, `take` fills with a value.
-///
-/// Blocks come from a `MemoryResource` (the owning backend's, host memory by
-/// default), so a device backend substitutes device buffers without touching
-/// the lease/size-class logic here.
-///
-/// Not thread-safe: one Workspace belongs to one Executor and kernels on an
-/// Executor run one at a time (parallelism happens *inside* kernels).
-class Workspace {
- public:
-  /// Allocation statistics, exposed so tests and the repeated-query benches
-  /// can assert/report the steady-state "no new allocations" property.
-  struct Stats {
-    std::size_t takes = 0;   ///< leases served
-    std::size_t hits = 0;    ///< served from a recycled free block
-    std::size_t misses = 0;  ///< required a fresh heap allocation
-  };
-
-  /// RAII lease of a typed span over an arena block.  Default-constructed
-  /// leases are empty.  A lease must not outlive its Workspace.
-  template <class T>
-  class Lease {
-   public:
-    Lease() = default;
-    Lease(Lease&& other) noexcept
-        : data_(std::exchange(other.data_, nullptr)),
-          size_(std::exchange(other.size_, 0)),
-          home_(std::exchange(other.home_, nullptr)),
-          size_class_(other.size_class_) {}
-    Lease& operator=(Lease&& other) noexcept {
-      if (this != &other) {
-        release();
-        data_ = std::exchange(other.data_, nullptr);
-        size_ = std::exchange(other.size_, 0);
-        home_ = std::exchange(other.home_, nullptr);
-        size_class_ = other.size_class_;
-      }
-      return *this;
-    }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease() { release(); }
-
-    [[nodiscard]] T* data() noexcept { return data_; }
-    [[nodiscard]] const T* data() const noexcept { return data_; }
-    [[nodiscard]] std::size_t size() const noexcept { return size_; }
-    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-    [[nodiscard]] T& operator[](std::size_t i) noexcept { return data_[i]; }
-    [[nodiscard]] const T& operator[](std::size_t i) const noexcept { return data_[i]; }
-    [[nodiscard]] T* begin() noexcept { return data_; }
-    [[nodiscard]] T* end() noexcept { return data_ + size_; }
-    [[nodiscard]] const T* begin() const noexcept { return data_; }
-    [[nodiscard]] const T* end() const noexcept { return data_ + size_; }
-    [[nodiscard]] std::span<T> span() noexcept { return {data_, size_}; }
-    [[nodiscard]] std::span<const T> span() const noexcept { return {data_, size_}; }
-    operator std::span<T>() noexcept { return {data_, size_}; }              // NOLINT
-    operator std::span<const T>() const noexcept { return {data_, size_}; }  // NOLINT
-
-   private:
-    friend class Workspace;
-    Lease(T* data, std::size_t size, Workspace* home, int size_class)
-        : data_(data), size_(size), home_(home), size_class_(size_class) {}
-    void release() {
-      if (home_ != nullptr) {
-        home_->release_block(data_, size_class_);
-        home_ = nullptr;
-      }
-      data_ = nullptr;
-      size_ = 0;
-    }
-
-    T* data_ = nullptr;
-    std::size_t size_ = 0;
-    Workspace* home_ = nullptr;
-    int size_class_ = 0;
-  };
-
-  /// `memory == nullptr` selects the process-wide host resource.  The
-  /// resource must outlive the Workspace and every lease taken from it.
-  explicit Workspace(MemoryResource* memory = nullptr)
-      : memory_(memory != nullptr ? memory : &host_memory_resource()) {}
-  Workspace(const Workspace&) = delete;
-  Workspace& operator=(const Workspace&) = delete;
-  ~Workspace() { clear(); }
-
-  [[nodiscard]] MemoryResource& memory_resource() const noexcept { return *memory_; }
-
-  /// Lease a span over `n` elements with unspecified contents (the recycled
-  /// block's previous bytes).  For scratch that is fully overwritten before
-  /// being read.
-  template <class T>
-  [[nodiscard]] Lease<T> take_uninit(size_type n) {
-    static_assert(std::is_trivially_copyable_v<T> && std::is_trivially_destructible_v<T>,
-                  "the Workspace arena hands out raw byte blocks");
-    ++stats_.takes;
-    if (n <= 0) {
-      ++stats_.hits;  // the empty lease costs nothing
-      return Lease<T>();
-    }
-    int size_class = 0;
-    void* block = acquire_block(static_cast<std::size_t>(n) * sizeof(T), size_class);
-    return Lease<T>(static_cast<T*>(block), static_cast<std::size_t>(n), this, size_class);
-  }
-
-  /// Lease a span of `n` elements, every element set to `fill`.
-  template <class T>
-  [[nodiscard]] Lease<T> take(size_type n, const T& fill = T{}) {
-    Lease<T> lease = take_uninit<T>(n);
-    for (T& slot : lease) slot = fill;
-    return lease;
-  }
-
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = {}; }
-
-  /// Bytes currently held on the free lists (retained, reusable memory).
-  [[nodiscard]] std::size_t retained_bytes() const noexcept {
-    std::size_t total = 0;
-    for (std::size_t c = 0; c < kNumClasses; ++c)
-      total += free_[c].size() << (c + kMinClassLog2);
-    return total;
-  }
-
-  /// Free every cached block — the arena returns to its empty state.  Leases
-  /// still outstanding are unaffected and return their blocks afterwards.
-  void clear() {
-    for (std::size_t c = 0; c < kNumClasses; ++c) {
-      for (void* block : free_[c]) deallocate_block(block, static_cast<int>(c));
-      free_[c].clear();
-      free_[c].shrink_to_fit();
-    }
-  }
-
- private:
-  /// Classes are powers of two from 64 bytes (class 0) upward; class c holds
-  /// blocks of exactly 1 << (c + kMinClassLog2) bytes.
-  static constexpr std::size_t kMinClassLog2 = 6;
-  static constexpr std::size_t kNumClasses = 42;
-  static constexpr std::size_t kBlockAlignment = 64;
-
-  [[nodiscard]] static int class_of(std::size_t bytes) {
-    const int width = std::bit_width(bytes - 1);  // bytes >= 1
-    return width <= static_cast<int>(kMinClassLog2)
-               ? 0
-               : width - static_cast<int>(kMinClassLog2);
-  }
-
-  [[nodiscard]] void* acquire_block(std::size_t bytes, int& size_class) {
-    detail::workspace_bytes_metric().inc(bytes);
-    const int wanted = class_of(bytes);
-    // Exact class first, then the smallest larger class with a free block
-    // (a shrinking workload reuses its big blocks instead of allocating).
-    for (int c = wanted; c < static_cast<int>(kNumClasses); ++c) {
-      auto& list = free_[static_cast<std::size_t>(c)];
-      if (!list.empty()) {
-        void* block = list.back();
-        list.pop_back();
-        ++stats_.hits;
-        size_class = c;
-        return block;
-      }
-    }
-    ++stats_.misses;
-    detail::workspace_miss_metric().inc();
-    size_class = wanted;
-    return memory_->allocate(
-        std::size_t{1} << (static_cast<std::size_t>(wanted) + kMinClassLog2),
-        kBlockAlignment);
-  }
-
-  void release_block(void* block, int size_class) {
-    if (block != nullptr) free_[static_cast<std::size_t>(size_class)].push_back(block);
-  }
-
-  void deallocate_block(void* block, int size_class) const noexcept {
-    memory_->deallocate(block,
-                        std::size_t{1} << (static_cast<std::size_t>(size_class) + kMinClassLog2),
-                        kBlockAlignment);
-  }
-
-  MemoryResource* memory_ = &host_memory_resource();
-  std::array<std::vector<void*>, kNumClasses> free_;
-  Stats stats_;
-};
-
-/// A small fingerprint-keyed cache of derived artifacts, attached to the
-/// Executor so upper layers (dendrogram, hdbscan, spatial) can reuse
-/// expensive intermediate results — the canonical descending-weight
-/// SortedEdges of an MST, the kd-tree and per-mpts core distances of a point
-/// set, the PANDORA dendrogram replayed across `min_cluster_size` sweeps —
-/// across calls without a layering inversion.  Entries are type-erased
-/// shared_ptrs matched on (fingerprint, type); eviction is
-/// least-recently-used over a fixed number of slots.
-///
-/// Locking contract: every operation (find / insert / clear / stats) takes
-/// the cache's internal mutex, so the cache may be shared by concurrent
-/// queries — the batch serving layer points all of its slot executors at one
-/// parent cache.  The contract the mutex enforces:
-///  * `find` returns an owning shared_ptr, so a hit stays alive even if the
-///    entry is concurrently evicted; callers never hold references into the
-///    cache itself.
-///  * cached values are immutable after insert — readers share them without
-///    further synchronisation.  (The single exception, the SortedEdges
-///    validation flag, is an atomic.)
-///  * two threads missing on the same fingerprint may both compute and both
-///    insert; the last insert wins and the loser's value simply dies with
-///    its shared_ptr.  Correctness never depends on single-insertion.
-/// The uncontended lock costs nanoseconds next to the artifacts being cached
-/// (sorts, tree builds), so the single-query path is unaffected.
-///
-/// Two serving-tier refinements ride on top of plain LRU:
-///  * **pin groups** — `pin(g)` exempts every entry inserted with
-///    `Owner::pin_group == g` from eviction until the last `unpin(g)`;
-///    `purge_group(g)` reclaims them.  The snapshot tier pins one group per
-///    live snapshot so a reader's artifacts survive concurrent inserts.
-///  * **tenant quotas** — `set_tenant_quota(q)` caps the slots any tenant
-///    (`Owner::tenant != 0`) occupies; a tenant at its cap displaces its own
-///    LRU entry, never another tenant's hot artifact.
-class ArtifactCache {
- public:
-  /// Observability counters, readable without taking the cache lock (the
-  /// counters are relaxed atomics; a snapshot of them is not required to be
-  /// mutually consistent — they feed dashboards and benches, not logic).
-  struct Stats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t evictions = 0;     ///< occupied entries displaced by a different key
-    std::size_t pinned_slots = 0;  ///< entries currently belonging to pinned groups
-  };
-
-  /// Provenance attached to an insert: which pin group the entry belongs to
-  /// (0 = none; see `pin`) and which tenant is accountable for its slot
-  /// (0 = none; see `set_tenant_quota`).  Kernels read it off the Executor
-  /// (`Executor::cache_owner()`), so upper layers tag artifacts without
-  /// threading parameters through every kernel signature.
-  struct Owner {
-    std::uint64_t pin_group = 0;
-    std::uint64_t tenant = 0;
-  };
-
-  static constexpr std::size_t kDefaultSlots = 16;
-
-  explicit ArtifactCache(std::size_t slots = kDefaultSlots)
-      : entries_(slots > 0 ? slots : std::size_t{1}),
-        nominal_slots_(slots > 0 ? slots : std::size_t{1}) {}
-  ArtifactCache(const ArtifactCache&) = delete;
-  ArtifactCache& operator=(const ArtifactCache&) = delete;
-
-  /// The cached artifact for `fingerprint`, or nullptr.  A hit performs no
-  /// heap allocation (the shared_ptr copy only bumps a refcount).
-  template <class T>
-  [[nodiscard]] std::shared_ptr<T> find(std::uint64_t fingerprint) const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (Entry& entry : entries_) {
-      if (entry.value != nullptr && entry.fingerprint == fingerprint &&
-          *entry.type == typeid(T)) {
-        entry.stamp = ++clock_;
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        detail::cache_hits_metric().inc();
-        return std::static_pointer_cast<T>(entry.value);
-      }
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    detail::cache_misses_metric().inc();
-    return nullptr;
-  }
-
-  /// Stores `value` under `fingerprint`.  An existing (fingerprint, type)
-  /// entry is replaced in place — callers that detect a stale value (e.g.
-  /// the spatial caches' points-identity check) rely on their re-insert
-  /// superseding it rather than shadowing it behind a duplicate.  Otherwise
-  /// the victim is chosen in order:
-  ///  * a tenant over its quota displaces its own least-recently-used
-  ///    (unpinned) entry — never another tenant's;
-  ///  * an empty slot;
-  ///  * the least-recently-used entry outside every pinned group;
-  ///  * when every slot belongs to a pinned group, the cache *grows* by one
-  ///    overflow slot instead of evicting: a live snapshot's artifacts are
-  ///    never dropped mid-read (`purge_group` reclaims the overflow when the
-  ///    snapshot retires).
-  template <class T>
-  void insert(std::uint64_t fingerprint, std::shared_ptr<T> value, Owner owner = {}) {
-    std::shared_ptr<void> doomed;  // evicted value released outside the lock
-    const std::lock_guard<std::mutex> lock(mutex_);
-    Entry* match = nullptr;
-    Entry* empty = nullptr;
-    Entry* lru = nullptr;         // least recent entry outside pinned groups
-    Entry* tenant_lru = nullptr;  // least recent unpinned entry of owner.tenant
-    std::size_t tenant_count = 0;
-    for (Entry& entry : entries_) {
-      if (entry.value == nullptr) {
-        if (empty == nullptr) empty = &entry;
-        continue;
-      }
-      if (entry.fingerprint == fingerprint && *entry.type == typeid(T)) {
-        match = &entry;
-        break;
-      }
-      if (owner.tenant != 0 && entry.tenant == owner.tenant) ++tenant_count;
-      if (pinned(entry)) continue;
-      if (lru == nullptr || entry.stamp < lru->stamp) lru = &entry;
-      if (owner.tenant != 0 && entry.tenant == owner.tenant &&
-          (tenant_lru == nullptr || entry.stamp < tenant_lru->stamp)) {
-        tenant_lru = &entry;
-      }
-    }
-    Entry* slot = match;
-    if (slot == nullptr) {
-      const std::size_t quota = tenant_quota_.load(std::memory_order_relaxed);
-      if (owner.tenant != 0 && quota > 0 && tenant_count >= quota && tenant_lru != nullptr) {
-        slot = tenant_lru;  // quota displacement: the tenant pays with its own entry
-      } else if (empty != nullptr) {
-        slot = empty;
-      } else if (lru != nullptr) {
-        slot = lru;
-      } else {
-        // Every slot is occupied and pinned: soft overflow (see above).
-        entries_.emplace_back();
-        slot = &entries_.back();
-      }
-    }
-    if (slot->value != nullptr) {
-      if (slot != match) {
-        evictions_.fetch_add(1, std::memory_order_relaxed);
-        detail::cache_evictions_metric().inc();
-      }
-      if (pinned(*slot)) {
-        pinned_count_.fetch_sub(1, std::memory_order_relaxed);
-        detail::cache_pinned_metric().add(-1);
-      }
-    }
-    doomed = std::move(slot->value);
-    slot->fingerprint = fingerprint;
-    slot->type = &typeid(T);
-    slot->value = std::move(value);
-    slot->stamp = ++clock_;
-    slot->pin_group = owner.pin_group;
-    slot->tenant = owner.tenant;
-    if (pinned(*slot)) {
-      pinned_count_.fetch_add(1, std::memory_order_relaxed);
-      detail::cache_pinned_metric().add(1);
-    }
-  }
-
-  /// Declares `group` pinned (refcounted): entries inserted with
-  /// `Owner::pin_group == group` are exempt from LRU eviction until the last
-  /// `unpin(group)`.  The snapshot tier pins one group per live snapshot
-  /// (keyed by its epoch fingerprint), so a reader mid-query can never lose
-  /// an artifact to a colder query's insert.  Group 0 is reserved (never
-  /// pinned).
-  void pin(std::uint64_t group) {
-    if (group == 0) return;
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (++pins_[group] == 1) {
-      for (const Entry& entry : entries_) {
-        if (entry.value != nullptr && entry.pin_group == group) {
-          pinned_count_.fetch_add(1, std::memory_order_relaxed);
-          detail::cache_pinned_metric().add(1);
-        }
-      }
-    }
-  }
-
-  /// Drops one pin on `group`; at zero the group's entries become ordinary
-  /// LRU citizens again (they are not removed — see `purge_group`).
-  void unpin(std::uint64_t group) {
-    if (group == 0) return;
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = pins_.find(group);
-    if (it == pins_.end()) return;
-    if (--it->second == 0) {
-      pins_.erase(it);
-      for (const Entry& entry : entries_) {
-        if (entry.value != nullptr && entry.pin_group == group) {
-          pinned_count_.fetch_sub(1, std::memory_order_relaxed);
-          detail::cache_pinned_metric().add(-1);
-        }
-      }
-    }
-  }
-
-  /// Removes every entry of `group` (pinned or not) and releases any
-  /// overflow slots past the nominal capacity that emptied.  The snapshot
-  /// tier calls this when a retired snapshot's last reader drains: its
-  /// epoch-keyed artifacts are unreachable (epoch fingerprints never repeat)
-  /// and would otherwise squat in the LRU until aged out.
-  void purge_group(std::uint64_t group) {
-    std::vector<std::shared_ptr<void>> doomed;  // released outside the lock
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const bool was_pinned = pins_.find(group) != pins_.end();
-    for (Entry& entry : entries_) {
-      if (entry.value == nullptr || entry.pin_group != group) continue;
-      doomed.push_back(std::move(entry.value));
-      entry = Entry{};
-      if (was_pinned) {
-        pinned_count_.fetch_sub(1, std::memory_order_relaxed);
-        detail::cache_pinned_metric().add(-1);
-      }
-    }
-    while (entries_.size() > nominal_slots_ && entries_.back().value == nullptr)
-      entries_.pop_back();
-  }
-
-  /// Caps how many slots any single tenant (`Owner::tenant != 0`) may occupy:
-  /// once at the cap, a tenant's insert displaces its own least-recently-used
-  /// entry instead of anyone else's.  0 (the default) disables the quota.
-  /// Untagged inserts (tenant 0) are never capped.
-  void set_tenant_quota(std::size_t slots) noexcept {
-    tenant_quota_.store(slots, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t tenant_quota() const noexcept {
-    return tenant_quota_.load(std::memory_order_relaxed);
-  }
-
-  void clear() {
-    std::vector<Entry> doomed;  // destructors run outside the lock
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      doomed = std::move(entries_);
-      entries_.assign(nominal_slots_, Entry{});
-      const std::size_t pinned = pinned_count_.exchange(0, std::memory_order_relaxed);
-      detail::cache_pinned_metric().add(-static_cast<std::int64_t>(pinned));
-    }
-  }
-
-  [[nodiscard]] std::size_t num_slots() const noexcept {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-  }
-
-  [[nodiscard]] Stats stats() const noexcept {
-    Stats out;
-    out.hits = hits_.load(std::memory_order_relaxed);
-    out.misses = misses_.load(std::memory_order_relaxed);
-    out.evictions = evictions_.load(std::memory_order_relaxed);
-    out.pinned_slots = pinned_count_.load(std::memory_order_relaxed);
-    return out;
-  }
-  void reset_stats() noexcept {
-    hits_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
-    evictions_.store(0, std::memory_order_relaxed);
-    // pinned_slots is a gauge, not a counter: it tracks live state.
-  }
-
- private:
-  struct Entry {
-    std::uint64_t fingerprint = 0;
-    const std::type_info* type = nullptr;
-    std::shared_ptr<void> value;
-    std::uint64_t stamp = 0;
-    std::uint64_t pin_group = 0;
-    std::uint64_t tenant = 0;
-  };
-
-  /// Call under mutex_.
-  [[nodiscard]] bool pinned(const Entry& entry) const {
-    return entry.pin_group != 0 && pins_.find(entry.pin_group) != pins_.end();
-  }
-
-  mutable std::mutex mutex_;
-  mutable std::vector<Entry> entries_;
-  std::size_t nominal_slots_ = kDefaultSlots;
-  mutable std::uint64_t clock_ = 0;
-  mutable std::unordered_map<std::uint64_t, std::size_t> pins_;  ///< group -> refcount
-  mutable std::atomic<std::size_t> hits_{0};
-  mutable std::atomic<std::size_t> misses_{0};
-  mutable std::atomic<std::size_t> evictions_{0};
-  mutable std::atomic<std::size_t> pinned_count_{0};
-  std::atomic<std::size_t> tenant_quota_{0};
-};
 
 class Executor;
 

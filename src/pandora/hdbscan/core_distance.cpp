@@ -83,31 +83,21 @@ struct CachedCoreDistances {
 std::shared_ptr<const CoreDistances> core_distances_cached(
     const exec::Executor& exec, const spatial::PointSet& points, const spatial::KdTree& tree,
     int min_pts, std::optional<std::uint64_t> points_fingerprint) {
-  const auto compute = [&] {
-    auto owned = std::make_shared<CachedCoreDistances>();
-    owned->core = core_distances_with_seeds(exec, points, tree, min_pts);
-    owned->points = &points;
-    return owned;
-  };
-  if (!exec.artifact_caching()) {
-    auto owned = compute();
-    const CoreDistances* view = &owned->core;
-    return {std::move(owned), view};
-  }
-
   // min_pts is folded into the key with the full mixer, so a sweep's values
   // occupy distinct slots — see exec/fingerprint.hpp.
-  const std::uint64_t base =
-      points_fingerprint ? *points_fingerprint : spatial::point_set_fingerprint(exec, points);
-  const std::uint64_t key = exec::combine_fingerprint(
-      exec::tagged_fingerprint(exec::ArtifactTag::core_distance, base),
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(min_pts)));
-  std::shared_ptr<CachedCoreDistances> entry =
-      exec.artifact_cache().find<CachedCoreDistances>(key);
-  if (entry == nullptr || entry->points != &points) {
-    entry = compute();
-    exec.artifact_cache().insert(key, entry, exec.cache_owner());
-  }
+  std::shared_ptr<CachedCoreDistances> entry = exec::cached_artifact<CachedCoreDistances>(
+      exec, exec::ArtifactTag::core_distance,
+      [&] {
+        return exec::combine_fingerprint(
+            points_fingerprint ? *points_fingerprint
+                               : spatial::point_set_fingerprint(exec, points),
+            static_cast<std::uint64_t>(static_cast<std::uint32_t>(min_pts)));
+      },
+      [&] {
+        return std::make_shared<CachedCoreDistances>(
+            CachedCoreDistances{core_distances_with_seeds(exec, points, tree, min_pts), &points});
+      },
+      [&](const CachedCoreDistances& cached) { return cached.points == &points; });
   const CoreDistances* view = &entry->core;
   return {std::move(entry), view};
 }

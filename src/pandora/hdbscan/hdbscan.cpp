@@ -4,7 +4,6 @@
 
 #include "pandora/common/expect.hpp"
 #include "pandora/dendrogram/pandora.hpp"
-#include "pandora/dendrogram/union_find_dendrogram.hpp"
 #include "pandora/hdbscan/core_distance.hpp"
 #include "pandora/spatial/emst.hpp"
 #include "pandora/spatial/kdtree.hpp"
@@ -21,28 +20,17 @@ FlatClustering extract_with(const CondensedTree& tree, const HdbscanOptions& opt
   return extract_clusters(tree, extract_options);
 }
 
-}  // namespace
-
-namespace {
-
-/// The pipeline body behind hdbscan() and the sweep front doors; a caller
-/// that already hashed the point set passes the fingerprint so one query
-/// hashes the data at most once (and an mpts sweep, once for all values).
-HdbscanResult hdbscan_with_fingerprint(const exec::Executor& exec,
-                                       const spatial::PointSet& points,
-                                       const HdbscanOptions& options,
-                                       std::optional<std::uint64_t> points_fp) {
-  PANDORA_EXPECT(points.size() > 0, "need at least one point");
-  HdbscanResult result;
-  // Capture every phase in result.times; any scope the caller opened on the
-  // executor sees the same breakdown.
-  const exec::ScopedPhaseTimes scope(exec, &result.times);
-
-  // The kd-tree and per-mpts core distances go through the Executor's
-  // ArtifactCache: repeated queries against one point set (and mpts sweeps,
-  // for the tree) replay instead of rebuilding.  With caching off the plain
-  // paths run — no fingerprint hashed, no wrapper copied — so the phases
-  // below time exactly the real work.
+/// The prefix every front door shares: kd-tree -> core distances ->
+/// mutual-reachability MST, each inside its phase and each through the
+/// Executor's ArtifactCache, so repeated queries against one point set (and
+/// sweeps, which share the tree) replay instead of rebuilding.  With caching
+/// on, the points are hashed here once for all three lookups and the hash is
+/// handed back through `points_fp`, so an mpts sweep hashes once for all its
+/// values; a caller that already hashed passes the fingerprint in.  With
+/// caching off nothing is hashed.
+void mst_prefix(const exec::Executor& exec, const spatial::PointSet& points, int min_pts,
+                std::optional<std::uint64_t>& points_fp, std::vector<double>& core_distances,
+                graph::EdgeList& mst) {
   if (exec.artifact_caching() && !points_fp)
     points_fp = spatial::point_set_fingerprint(exec, points);
 
@@ -50,41 +38,34 @@ HdbscanResult hdbscan_with_fingerprint(const exec::Executor& exec,
   exec.phase("tree_build", [&] { tree = spatial::kdtree_cached(exec, points, 32, points_fp); });
 
   // The core-distance pass also certifies round-1 Borůvka candidates; the
-  // seeds ride in the cached artifact (or, uncached, live until the MST).
+  // seeds ride in the cached artifact.
   std::shared_ptr<const CoreDistances> core;
   exec.phase("core_distance", [&] {
-    if (exec.artifact_caching()) {
-      core = core_distances_cached(exec, points, *tree, options.min_pts, points_fp);
-      result.core_distances = core->values;
-    } else {
-      auto fresh = std::make_shared<CoreDistances>(
-          core_distances_with_seeds(exec, points, *tree, options.min_pts));
-      result.core_distances = std::move(fresh->values);
-      core = std::move(fresh);
-    }
+    core = core_distances_cached(exec, points, *tree, min_pts, points_fp);
+    core_distances = core->values;
   });
 
+  // Copy-out is the price of keeping the results plain values: one O(E)
+  // memcpy, well under a millesimal of the Borůvka build it replaces on a
+  // warm hit.
   exec.phase("mst", [&] {
-    if (exec.artifact_caching()) {
-      const std::shared_ptr<const graph::EdgeList> mst = spatial::mutual_reachability_mst_cached(
-          exec, points, *tree, result.core_distances, options.min_pts, points_fp,
-          core->round1_seed);
-      // Copy-out is the price of keeping HdbscanResult::mst a plain value: one
-      // O(E) memcpy, well under a millesimal of the Borůvka build it replaces
-      // on a warm hit.
-      result.mst = *mst;
-    } else {
-      result.mst = spatial::mutual_reachability_mst(exec, points, *tree, result.core_distances,
-                                                    core->round1_seed);
-    }
+    mst = *spatial::mutual_reachability_mst_cached(exec, points, *tree, core->values, min_pts,
+                                                   points_fp, core->round1_seed);
   });
+}
 
-  if (options.dendrogram_algorithm == DendrogramAlgorithm::pandora) {
-    result.dendrogram = *dendrogram::pandora_dendrogram_cached(exec, result.mst, points.size());
-  } else {
-    result.dendrogram = dendrogram::union_find_dendrogram(exec, result.mst, points.size());
-  }
+HdbscanResult hdbscan_with_fingerprint(const exec::Executor& exec,
+                                       const spatial::PointSet& points,
+                                       const HdbscanOptions& options,
+                                       std::optional<std::uint64_t>& points_fp) {
+  PANDORA_EXPECT(points.size() > 0, "need at least one point");
+  HdbscanResult result;
+  // Capture every phase in result.times; any scope the caller opened on the
+  // executor sees the same breakdown.
+  const exec::ScopedPhaseTimes scope(exec, &result.times);
 
+  mst_prefix(exec, points, options.min_pts, points_fp, result.core_distances, result.mst);
+  result.dendrogram = *dendrogram::pandora_dendrogram_cached(exec, result.mst, points.size());
   result.condensed_tree =
       build_condensed_tree(exec, result.dendrogram, options.min_cluster_size);
 
@@ -112,35 +93,10 @@ MinClusterSizeSweep hdbscan_sweep_min_cluster_size(const exec::Executor& exec,
   PANDORA_EXPECT(points.size() > 0, "need at least one point");
   MinClusterSizeSweep sweep;
 
-  // Shared prefix, computed once per sweep call and replayed from the
-  // ArtifactCache across calls: min_cluster_size touches nothing above the
-  // condensed tree, so repeated sweeps skip the kd-tree build, the core
-  // distances AND the Borůvka EMST (the cached-EMST ROADMAP follow-up).
-  std::optional<std::uint64_t> points_fp = points_fingerprint;
-  if (exec.artifact_caching() && !points_fp)
-    points_fp = spatial::point_set_fingerprint(exec, points);
-  const std::shared_ptr<const spatial::KdTree> tree =
-      spatial::kdtree_cached(exec, points, 32, points_fp);
-  if (exec.artifact_caching()) {
-    const std::shared_ptr<const CoreDistances> core =
-        core_distances_cached(exec, points, *tree, base.min_pts, points_fp);
-    sweep.core_distances = core->values;
-    const std::shared_ptr<const graph::EdgeList> mst = spatial::mutual_reachability_mst_cached(
-        exec, points, *tree, sweep.core_distances, base.min_pts, points_fp, core->round1_seed);
-    sweep.mst = *mst;
-  } else {
-    CoreDistances core = core_distances_with_seeds(exec, points, *tree, base.min_pts);
-    sweep.core_distances = std::move(core.values);
-    sweep.mst = spatial::mutual_reachability_mst(exec, points, *tree, sweep.core_distances,
-                                                 core.round1_seed);
-  }
-
-  if (base.dendrogram_algorithm == DendrogramAlgorithm::pandora) {
-    sweep.dendrogram = dendrogram::pandora_dendrogram_cached(exec, sweep.mst, points.size());
-  } else {
-    sweep.dendrogram = std::make_shared<const dendrogram::Dendrogram>(
-        dendrogram::union_find_dendrogram(exec, sweep.mst, points.size()));
-  }
+  // min_cluster_size touches nothing above the condensed tree, so one prefix
+  // and one dendrogram serve every sweep value (and replay across calls).
+  mst_prefix(exec, points, base.min_pts, points_fingerprint, sweep.core_distances, sweep.mst);
+  sweep.dendrogram = dendrogram::pandora_dendrogram_cached(exec, sweep.mst, points.size());
 
   sweep.entries.reserve(min_cluster_sizes.size());
   for (const index_t min_cluster_size : min_cluster_sizes) {
@@ -164,13 +120,11 @@ std::vector<HdbscanResult> hdbscan_sweep_min_pts(const exec::Executor& exec,
                                                  std::optional<std::uint64_t> points_fingerprint) {
   std::vector<HdbscanResult> results;
   results.reserve(min_pts_values.size());
-  // One content hash serves the whole sweep; per value, the kd-tree replays
-  // from the cache after the first, while the core distances and EMST depend
-  // on mpts and are rebuilt (under distinct, never-aliasing cache keys for
-  // the former).
+  // The first value hashes the points (when caching is on) and the rest
+  // share that hash; per value, the kd-tree replays from the cache after the
+  // first, while the core distances and EMST depend on mpts and are rebuilt
+  // under distinct, never-aliasing cache keys.
   std::optional<std::uint64_t> points_fp = points_fingerprint;
-  if (exec.artifact_caching() && points.size() > 0 && !points_fp)
-    points_fp = spatial::point_set_fingerprint(exec, points);
   for (const int min_pts : min_pts_values) {
     HdbscanOptions options = base;
     options.min_pts = min_pts;

@@ -16,17 +16,9 @@
 
 namespace pandora::hdbscan {
 
-/// Which dendrogram construction the pipeline uses — the axis of the paper's
-/// Figure 1 / Figure 15 comparisons.
-enum class DendrogramAlgorithm {
-  pandora,     ///< this paper (parallel tree contraction)
-  union_find,  ///< bottom-up union-find baseline (UnionFind-MT [46])
-};
-
 struct HdbscanOptions {
   int min_pts = 2;                  ///< the paper's "mpts" (default 2, Section 6.5)
   index_t min_cluster_size = 5;     ///< condensed-tree shedding threshold
-  DendrogramAlgorithm dendrogram_algorithm = DendrogramAlgorithm::pandora;
   bool allow_single_cluster = false;
   ClusterSelectionMethod cluster_selection_method = ClusterSelectionMethod::excess_of_mass;
   double cluster_selection_epsilon = 0.0;  ///< see ExtractOptions
@@ -40,8 +32,8 @@ struct HdbscanResult {
   std::vector<index_t> labels;            ///< per point; kNone = noise
   index_t num_clusters = 0;
   /// Phases: "tree_build", "core_distance", "mst",
-  /// "sort"/"contraction"/"expansion" (or "sort"/"dendrogram" for the
-  /// union-find baseline), "condense", "extract".  Every
+  /// "sort"/"contraction"/"expansion" (absent when the dendrogram replays
+  /// from the cache), "condense", "extract".  Every
   /// `exec::ScopedPhaseTimes` the caller opened on the Executor sees them
   /// too.
   PhaseTimes times;
@@ -55,7 +47,9 @@ struct HdbscanResult {
 /// per-mpts core distances, the per-mpts mutual-reachability EMST and its
 /// PANDORA dendrogram also replay from the Executor's ArtifactCache, so
 /// repeated queries against one point set — and mpts sweeps, which share the
-/// tree — skip the corresponding phases entirely.
+/// tree — skip the corresponding phases entirely.  The dendrogram is always
+/// PANDORA's; to compare against the union-find baseline, run
+/// `dendrogram::union_find_dendrogram(exec, result.mst, points.size())`.
 ///
 /// `points_fingerprint` overrides the content hash the caches key on: a
 /// caller that already ran `point_set_fingerprint` shares the pass, and a
@@ -69,8 +63,9 @@ struct HdbscanResult {
                                         std::nullopt);
 
 /// A `min_cluster_size` sweep over one point set: the pipeline runs once up
-/// to the dendrogram (kd-tree, core distances and dendrogram served from the
-/// ArtifactCache on repeated sweeps), then each sweep value re-condenses
+/// to the dendrogram (kd-tree, core distances, EMST and dendrogram served
+/// from the ArtifactCache on repeated sweeps, timed under the same phases as
+/// `hdbscan()`), then each sweep value re-condenses
 /// the shared dendrogram and re-extracts flat clusters.  Entries are aligned
 /// with `min_cluster_sizes`; the shared prefix artifacts are returned once
 /// instead of being copied into every entry.

@@ -1,7 +1,6 @@
 #include "pandora/pipeline.hpp"
 
 #include "pandora/common/timer.hpp"
-#include "pandora/dendrogram/union_find_dendrogram.hpp"
 #include "pandora/hdbscan/core_distance.hpp"
 #include "pandora/spatial/emst.hpp"
 
@@ -16,8 +15,6 @@ dendrogram::SortedEdges Pipeline::sort_edges(const graph::EdgeList& mst,
 dendrogram::Dendrogram Pipeline::build_dendrogram(const graph::EdgeList& mst,
                                                   index_t num_vertices) const {
   return cancellable([&] {
-    if (options_.dendrogram_algorithm == hdbscan::DendrogramAlgorithm::union_find)
-      return dendrogram::union_find_dendrogram(*executor_, mst, num_vertices, validate_input_);
     return dendrogram::pandora_dendrogram(*executor_, mst, num_vertices, validate_input_);
   });
 }
@@ -25,20 +22,12 @@ dendrogram::Dendrogram Pipeline::build_dendrogram(const graph::EdgeList& mst,
 void Pipeline::build_dendrogram_into(const graph::EdgeList& mst, index_t num_vertices,
                                      dendrogram::Dendrogram& out) const {
   cancellable([&] {
-    if (options_.dendrogram_algorithm == hdbscan::DendrogramAlgorithm::union_find) {
-      out = dendrogram::union_find_dendrogram(*executor_, mst, num_vertices, validate_input_);
-      return;
-    }
     dendrogram::pandora_dendrogram_into(*executor_, mst, num_vertices, out, validate_input_);
   });
 }
 
 dendrogram::Dendrogram Pipeline::build_dendrogram(const dendrogram::SortedEdges& sorted) const {
-  return cancellable([&] {
-    if (options_.dendrogram_algorithm == hdbscan::DendrogramAlgorithm::union_find)
-      return dendrogram::union_find_dendrogram(*executor_, sorted);
-    return dendrogram::pandora_dendrogram(*executor_, sorted);
-  });
+  return cancellable([&] { return dendrogram::pandora_dendrogram(*executor_, sorted); });
 }
 
 std::vector<double> Pipeline::core_distances(const spatial::PointSet& points,

@@ -84,19 +84,6 @@ class Pipeline {
     return *this;
   }
 
-  /// Which dendrogram algorithm the pipeline runs (PANDORA by default).
-  Pipeline& with_dendrogram_algorithm(hdbscan::DendrogramAlgorithm algorithm) {
-    options_.dendrogram_algorithm = algorithm;
-    return *this;
-  }
-
-  /// Toggle the cross-call SortedEdges cache (on by default).  Applies to the
-  /// executor, so it persists across pipelines sharing it.
-  Pipeline& with_sorted_edges_cache(bool enabled) {
-    executor_->set_artifact_caching(enabled);
-    return *this;
-  }
-
   /// Validate inputs at the front door: dendrogram inputs must be spanning
   /// trees with finite weights, point sets must carry only finite (no
   /// NaN/Inf) coordinates.  Violations throw std::invalid_argument.
@@ -145,17 +132,18 @@ class Pipeline {
   [[nodiscard]] dendrogram::SortedEdges sort_edges(const graph::EdgeList& mst,
                                                    index_t num_vertices) const;
 
-  /// Dendrogram of an MST via the configured algorithm.
+  /// PANDORA dendrogram of an MST (`dendrogram::pandora_dendrogram`; the
+  /// union-find baseline is the plain `dendrogram::union_find_dendrogram`).
   [[nodiscard]] dendrogram::Dendrogram build_dendrogram(const graph::EdgeList& mst,
                                                         index_t num_vertices) const;
 
-  /// Dendrogram from pre-sorted edges (shares one sort across algorithms).
+  /// Dendrogram from pre-sorted edges (shares one sort with other builders).
   [[nodiscard]] dendrogram::Dendrogram build_dendrogram(
       const dendrogram::SortedEdges& sorted) const;
 
-  /// Output-reusing dendrogram build: with the PANDORA algorithm, a second
-  /// identical call on a warm Executor (sorted-edges cache hit, arena-leased
-  /// scratch, capacity-reusing outputs) performs no heap allocation.
+  /// Output-reusing dendrogram build: a second identical call on a warm
+  /// Executor (sorted-edges cache hit, arena-leased scratch,
+  /// capacity-reusing outputs) performs no heap allocation.
   void build_dendrogram_into(const graph::EdgeList& mst, index_t num_vertices,
                              dendrogram::Dendrogram& out) const;
 

@@ -317,31 +317,21 @@ std::shared_ptr<const graph::EdgeList> mutual_reachability_mst_cached(
     const exec::Executor& exec, const PointSet& points, const KdTree& tree,
     std::span<const double> core_distances, int min_pts,
     std::optional<std::uint64_t> points_fingerprint, std::span<const index_t> round1_seed) {
-  const auto compute = [&] {
-    auto owned = std::make_shared<CachedEmst>();
-    owned->mst = mutual_reachability_mst(exec, points, tree, core_distances, round1_seed);
-    owned->points = &points;
-    return owned;
-  };
-  if (!exec.artifact_caching()) {
-    auto owned = compute();
-    const graph::EdgeList* view = &owned->mst;
-    return {std::move(owned), view};
-  }
-
   // min_pts determines the core distances and with them the metric, so it is
   // folded into the key with the full mixer — two sweep values never alias
   // (see exec/fingerprint.hpp).
-  const std::uint64_t base =
-      points_fingerprint ? *points_fingerprint : point_set_fingerprint(exec, points);
-  const std::uint64_t key = exec::combine_fingerprint(
-      exec::tagged_fingerprint(exec::ArtifactTag::emst, base),
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(min_pts)));
-  std::shared_ptr<CachedEmst> entry = exec.artifact_cache().find<CachedEmst>(key);
-  if (entry == nullptr || entry->points != &points) {
-    entry = compute();
-    exec.artifact_cache().insert(key, entry, exec.cache_owner());
-  }
+  std::shared_ptr<CachedEmst> entry = exec::cached_artifact<CachedEmst>(
+      exec, exec::ArtifactTag::emst,
+      [&] {
+        return exec::combine_fingerprint(
+            points_fingerprint ? *points_fingerprint : point_set_fingerprint(exec, points),
+            static_cast<std::uint64_t>(static_cast<std::uint32_t>(min_pts)));
+      },
+      [&] {
+        return std::make_shared<CachedEmst>(CachedEmst{
+            mutual_reachability_mst(exec, points, tree, core_distances, round1_seed), &points});
+      },
+      [&](const CachedEmst& cached) { return cached.points == &points; });
   const graph::EdgeList* view = &entry->mst;
   return {std::move(entry), view};
 }

@@ -416,23 +416,15 @@ struct CachedKdTree {
 std::shared_ptr<const KdTree> kdtree_cached(const exec::Executor& exec, const PointSet& points,
                                             int leaf_size,
                                             std::optional<std::uint64_t> points_fingerprint) {
-  const auto build = [&] {
-    auto owned = std::make_shared<CachedKdTree>(exec, points, leaf_size);
-    const KdTree* view = &owned->tree;
-    return std::shared_ptr<const KdTree>(std::move(owned), view);
-  };
-  if (!exec.artifact_caching()) return build();
-
-  const std::uint64_t base =
-      points_fingerprint ? *points_fingerprint : point_set_fingerprint(exec, points);
-  const std::uint64_t key = exec::combine_fingerprint(
-      exec::tagged_fingerprint(exec::ArtifactTag::kdtree, base),
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(leaf_size)));
-  std::shared_ptr<CachedKdTree> entry = exec.artifact_cache().find<CachedKdTree>(key);
-  if (entry == nullptr || entry->points != &points) {
-    entry = std::make_shared<CachedKdTree>(exec, points, leaf_size);
-    exec.artifact_cache().insert(key, entry, exec.cache_owner());
-  }
+  std::shared_ptr<CachedKdTree> entry = exec::cached_artifact<CachedKdTree>(
+      exec, exec::ArtifactTag::kdtree,
+      [&] {
+        return exec::combine_fingerprint(
+            points_fingerprint ? *points_fingerprint : point_set_fingerprint(exec, points),
+            static_cast<std::uint64_t>(static_cast<std::uint32_t>(leaf_size)));
+      },
+      [&] { return std::make_shared<CachedKdTree>(exec, points, leaf_size); },
+      [&](const CachedKdTree& cached) { return cached.points == &points; });
   const KdTree* view = &entry->tree;
   return {std::move(entry), view};
 }

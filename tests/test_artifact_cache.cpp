@@ -1,6 +1,7 @@
 // The ArtifactCache under concurrency: the locking contract that lets batch
 // slot executors share one cache — plus slot sizing, LRU order and the
-// shared-cache installation on Executor.  The stress tests are what the CI
+// shared-cache installation on Executor, and the get-or-build seam
+// `exec::cached_artifact` every library cache goes through.  The stress tests are what the CI
 // ThreadSanitizer matrix entry race-checks.
 
 #include <gtest/gtest.h>
@@ -241,6 +242,102 @@ TEST(Executor, SharedArtifactCacheInstallAndRestore) {
   EXPECT_NE(&worker.artifact_cache(), &parent.artifact_cache());
   EXPECT_EQ(worker.artifact_cache().find<Tagged>(5), nullptr)
       << "the own cache was never written";
+}
+
+// --- the get-or-build seam ------------------------------------------------
+
+/// Counting callbacks for `exec::cached_artifact`: `key` fingerprints a fixed
+/// input, `build` numbers its artifacts 1, 2, ...
+struct SeamProbe {
+  static constexpr std::uint64_t kBase = 7;
+  static constexpr exec::ArtifactTag kTag = exec::ArtifactTag::kdtree;
+  int keys = 0;
+  int builds = 0;
+
+  [[nodiscard]] std::uint64_t cache_key() const { return exec::tagged_fingerprint(kTag, kBase); }
+  [[nodiscard]] auto key() {
+    return [this] {
+      ++keys;
+      return kBase;
+    };
+  }
+  [[nodiscard]] auto build() {
+    return [this] {
+      ++builds;
+      return std::make_shared<Tagged>(Tagged{static_cast<std::uint64_t>(builds)});
+    };
+  }
+  /// The seam with its default `reusable` (every hit served).
+  [[nodiscard]] std::shared_ptr<Tagged> get(const exec::Executor& executor) {
+    return exec::cached_artifact<Tagged>(executor, kTag, key(), build());
+  }
+};
+
+TEST(CachedArtifact, CachingOffBuildsWithoutKeyOrInsert) {
+  const exec::Executor executor(exec::serial_backend());
+  executor.set_artifact_caching(false);
+  SeamProbe probe;
+  const auto built = probe.get(executor);
+  ASSERT_NE(built, nullptr);
+  EXPECT_EQ(probe.keys, 0) << "no key is computed with caching off";
+  EXPECT_EQ(probe.builds, 1);
+  const ArtifactCache::Stats stats = executor.artifact_cache().stats();
+  EXPECT_EQ(stats.hits + stats.misses, 0u) << "no lookup either";
+  EXPECT_EQ(executor.artifact_cache().find<Tagged>(probe.cache_key()), nullptr)
+      << "nothing was inserted";
+}
+
+TEST(CachedArtifact, MissBuildsOnceAndInsertsUnderTheExecutorsOwner) {
+  const exec::Executor executor(exec::serial_backend());
+  const exec::ScopedCacheOwner owner(executor, {.pin_group = 5, .tenant = 3});
+  SeamProbe probe;
+  const auto built = probe.get(executor);
+  EXPECT_EQ(probe.keys, 1);
+  EXPECT_EQ(probe.builds, 1);
+
+  ArtifactCache& cache = executor.artifact_cache();
+  EXPECT_EQ(cache.find<Tagged>(probe.cache_key()), built)
+      << "inserted under tagged_fingerprint(tag, base_key())";
+  cache.pin(5);
+  EXPECT_EQ(cache.stats().pinned_slots, 1u) << "the entry belongs to the owner's pin group";
+  cache.unpin(5);
+  // At a quota of one slot, tenant 3's next insert displaces its own entry —
+  // which is the seam's only if the seam charged it to tenant 3.
+  cache.set_tenant_quota(1);
+  cache.insert<Tagged>(99, std::make_shared<Tagged>(Tagged{99}), {.pin_group = 0, .tenant = 3});
+  EXPECT_EQ(cache.find<Tagged>(probe.cache_key()), nullptr)
+      << "the entry was charged to the owner's tenant";
+}
+
+TEST(CachedArtifact, HitServesTheEntryWithoutBuilding) {
+  const exec::Executor executor(exec::serial_backend());
+  SeamProbe probe;
+  const auto first = probe.get(executor);
+  const auto second = probe.get(executor);
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(probe.keys, 2) << "every cached call derives its key";
+  EXPECT_EQ(probe.builds, 1) << "a hit builds nothing";
+}
+
+TEST(CachedArtifact, RejectedHitIsRebuiltAndReplacedInPlace) {
+  const exec::Executor executor(exec::serial_backend());
+  ArtifactCache cache(/*slots=*/2);
+  executor.use_shared_artifact_cache(&cache);
+  SeamProbe probe;
+  const auto first = probe.get(executor);
+  const auto rebuilt = exec::cached_artifact<Tagged>(executor, SeamProbe::kTag, probe.key(),
+                                                     probe.build(),
+                                                     [](const Tagged&) { return false; });
+  EXPECT_EQ(probe.builds, 2) << "a rejected hit rebuilds";
+  EXPECT_NE(rebuilt, first);
+  EXPECT_EQ(cache.find<Tagged>(probe.cache_key()), rebuilt) << "the rebuild replaced the entry";
+  // Replaced in place, not duplicated: a second key still fits in the free
+  // slot without evicting anything.
+  cache.insert<Tagged>(8, std::make_shared<Tagged>(Tagged{8}));
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.num_slots(), 2u);
+  EXPECT_NE(cache.find<Tagged>(probe.cache_key()), nullptr);
+  executor.use_shared_artifact_cache(nullptr);
 }
 
 }  // namespace

@@ -6,13 +6,13 @@
 
 #include "pandora/data/point_generators.hpp"
 #include "pandora/dendrogram/analysis.hpp"
+#include "pandora/dendrogram/union_find_dendrogram.hpp"
 #include "pandora/hdbscan/hdbscan.hpp"
 
 namespace {
 
 using namespace pandora;
 using hdbscan::CondensedTree;
-using hdbscan::DendrogramAlgorithm;
 using hdbscan::HdbscanOptions;
 using hdbscan::HdbscanResult;
 using spatial::PointSet;
@@ -61,15 +61,18 @@ TEST(Hdbscan, RecoversThreeWellSeparatedBlobs) {
 
 TEST(Hdbscan, PandoraAndUnionFindPipelinesAgreeExactly) {
   const PointSet points = data::gaussian_blobs(1500, 3, 8, 0.03, 0.05, 31);
+  const exec::Executor& exec = exec::default_executor();
   for (const int min_pts : {2, 4, 8}) {
-    HdbscanOptions a;
-    a.min_pts = min_pts;
-    a.dendrogram_algorithm = DendrogramAlgorithm::pandora;
-    HdbscanOptions b = a;
-    b.dendrogram_algorithm = DendrogramAlgorithm::union_find;
-    const HdbscanResult ra = hdbscan::hdbscan(exec::default_executor(), points, a);
-    const HdbscanResult rb = hdbscan::hdbscan(exec::default_executor(), points, b);
-    ASSERT_EQ(ra.dendrogram.parent, rb.dendrogram.parent) << "min_pts=" << min_pts;
+    HdbscanOptions options;
+    options.min_pts = min_pts;
+    const HdbscanResult ra = hdbscan::hdbscan(exec, points, options);
+    // The union-find baseline over the same MST, condensed and extracted as
+    // hdbscan() does with default options.
+    const dendrogram::Dendrogram uf =
+        dendrogram::union_find_dendrogram(exec, ra.mst, points.size());
+    const hdbscan::FlatClustering rb = hdbscan::extract_clusters(
+        hdbscan::build_condensed_tree(exec, uf, options.min_cluster_size));
+    ASSERT_EQ(ra.dendrogram.parent, uf.parent) << "min_pts=" << min_pts;
     ASSERT_EQ(ra.labels, rb.labels) << "min_pts=" << min_pts;
     ASSERT_EQ(ra.num_clusters, rb.num_clusters);
   }

@@ -337,14 +337,6 @@ TEST(Observability, PhaseTimesKeysAreThePhaseSpansOfEveryDriver) {
     EXPECT_EQ(traced_phase_keys(
                   threads, [&](const exec::Executor& exec) { (void)hdbscan::hdbscan(exec, points); }),
               with(spatial_keys, pandora_keys));
-    EXPECT_EQ(traced_phase_keys(threads,
-                                [&](const exec::Executor& exec) {
-                                  hdbscan::HdbscanOptions options;
-                                  options.dendrogram_algorithm =
-                                      hdbscan::DendrogramAlgorithm::union_find;
-                                  (void)hdbscan::hdbscan(exec, points, options);
-                                }),
-              with(spatial_keys, union_find_keys));
   }
 }
 

@@ -26,18 +26,13 @@ TEST(Pipeline, BuildDendrogramMatchesPandoraFreeFunction) {
   EXPECT_EQ(via_pipeline.edge_order, via_free.edge_order);
 }
 
-TEST(Pipeline, UnionFindAlgorithmSelection) {
+TEST(Pipeline, UnionFindBaselineAgreesWithBuildDendrogram) {
   const graph::EdgeList tree = make_tree(Topology::random_attach, 4000, 5, 3);
   const exec::Executor executor(exec::default_backend());
-  const auto via_pipeline =
-      Pipeline::on(executor)
-          .with_dendrogram_algorithm(hdbscan::DendrogramAlgorithm::union_find)
-          .build_dendrogram(tree, 4000);
-  const auto via_free = dendrogram::union_find_dendrogram(executor, tree, 4000);
-  EXPECT_EQ(via_pipeline.parent, via_free.parent);
-  // And both agree with PANDORA (the paper's equivalence claim).
+  const auto union_find = dendrogram::union_find_dendrogram(executor, tree, 4000);
+  // The paper's equivalence claim: the baseline and PANDORA agree.
   const auto pandora_d = Pipeline::on(executor).build_dendrogram(tree, 4000);
-  EXPECT_EQ(via_pipeline.parent, pandora_d.parent);
+  EXPECT_EQ(union_find.parent, pandora_d.parent);
 }
 
 TEST(Pipeline, SortedEdgesPathSharesOneSort) {
@@ -55,10 +50,8 @@ TEST(Pipeline, ValidationRejectsNonTrees) {
   const exec::Executor executor(exec::serial_backend());
   EXPECT_THROW((void)Pipeline::on(executor).with_validation().build_dendrogram(cycle, 3),
                std::invalid_argument);
-  EXPECT_THROW((void)Pipeline::on(executor)
-                   .with_validation()
-                   .with_dendrogram_algorithm(hdbscan::DendrogramAlgorithm::union_find)
-                   .build_dendrogram(cycle, 3),
+  EXPECT_THROW((void)dendrogram::union_find_dendrogram(executor, cycle, 3,
+                                                      /*validate_input=*/true),
                std::invalid_argument);
 }
 

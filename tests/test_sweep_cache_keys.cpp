@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 #include <set>
 
 #include "pandora/data/point_generators.hpp"
@@ -32,9 +33,15 @@ TEST(Fingerprint, CombineSeparatesParametersAndOrder) {
   EXPECT_EQ(keys.size(), 64u) << "every parameter value derives a distinct key";
   EXPECT_NE(exec::combine_fingerprint(1, 2), exec::combine_fingerprint(2, 1))
       << "parameter order is part of the key";
-  EXPECT_NE(exec::tagged_fingerprint(exec::ArtifactTag::kdtree, base),
-            exec::tagged_fingerprint(exec::ArtifactTag::core_distance, base))
-      << "artifact kinds never share keys even for identical inputs";
+  std::set<std::uint64_t> tagged;
+  for (const exec::ArtifactTag tag :
+       {exec::ArtifactTag::sorted_edges, exec::ArtifactTag::kdtree,
+        exec::ArtifactTag::core_distance, exec::ArtifactTag::dendrogram,
+        exec::ArtifactTag::emst}) {
+    tagged.insert(exec::tagged_fingerprint(tag, base));
+  }
+  EXPECT_EQ(tagged.size(), 5u) << "artifact kinds never share keys even for identical inputs";
+  EXPECT_EQ(tagged.count(base), 0u) << "no kind keys on the raw input fingerprint";
 }
 
 TEST(PointSetFingerprint, SensitiveToEveryCoordinateAndShape) {
@@ -154,6 +161,41 @@ TEST(DendrogramCache, KeyedOnMst) {
   mutated[2000].weight *= 1.5;
   const auto rebuilt = dendrogram::pandora_dendrogram_cached(executor, mutated, 4000);
   EXPECT_NE(cached.get(), rebuilt.get()) << "mutated MSTs must miss";
+}
+
+TEST(DendrogramCache, AMissLooksUpOnce) {
+  // The dendrogram entry carries the sort's weight and edge order, so a cold
+  // call hashes the MST for its own key and sorts directly: one lookup, one
+  // miss, no SortedEdges lookup beside it.
+  const exec::Executor executor(exec::serial_backend());
+  const graph::EdgeList tree = make_tree(Topology::random_attach, 3000, 7, 0);
+  const auto built = dendrogram::pandora_dendrogram_cached(executor, tree, 3000);
+  const exec::ArtifactCache::Stats stats = executor.artifact_cache().stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 0u);
+
+  const exec::Executor reference(exec::serial_backend());
+  reference.set_artifact_caching(false);
+  const dendrogram::Dendrogram expected = dendrogram::pandora_dendrogram(reference, tree, 3000);
+  EXPECT_EQ(built->parent, expected.parent);
+  EXPECT_EQ(built->edge_order, expected.edge_order);
+  EXPECT_EQ(built->weight, expected.weight);
+}
+
+TEST(DendrogramCache, ValidationIsMonotone) {
+  graph::EdgeList bad = make_tree(Topology::random_attach, 500, 3, 0);
+  bad[100].weight = std::numeric_limits<double>::infinity();
+
+  const exec::Executor cold(exec::serial_backend());
+  EXPECT_THROW((void)dendrogram::pandora_dendrogram_cached(cold, bad, 500, true),
+               std::invalid_argument)
+      << "a validating miss validates before it builds";
+
+  // An entry built unvalidated is validated by the first validating hit.
+  const exec::Executor warm(exec::serial_backend());
+  (void)dendrogram::pandora_dendrogram_cached(warm, bad, 500, false);
+  EXPECT_THROW((void)dendrogram::pandora_dendrogram_cached(warm, bad, 500, true),
+               std::invalid_argument);
 }
 
 TEST(DendrogramCache, RepeatedHdbscanReplaysTheDendrogram) {
