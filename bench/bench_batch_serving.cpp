@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -70,10 +71,6 @@ void run_scenario(const char* name, const exec::Executor& executor,
                   const std::vector<graph::EdgeList>& trees,
                   const std::vector<index_t>& num_vertices, size_type small_threshold,
                   bench::JsonReport& json) {
-  std::vector<serve::DendrogramQuery> queries;
-  for (std::size_t i = 0; i < trees.size(); ++i)
-    queries.push_back({&trees[i], num_vertices[i]});
-
   const CounterDelta cache_hits("pandora_cache_hits_total");
   const CounterDelta cache_misses("pandora_cache_misses_total");
   const CounterDelta cache_evictions("pandora_cache_evictions_total");
@@ -90,27 +87,42 @@ void run_scenario(const char* name, const exec::Executor& executor,
 
   // Sequential same-executor loop (the status quo a server without the
   // batch layer runs): every query one at a time on the parent.
-  std::vector<dendrogram::Dendrogram> sequential_out(queries.size());
+  std::vector<dendrogram::Dendrogram> sequential_out(trees.size());
   const auto sequential_pass = [&] {
-    for (std::size_t i = 0; i < queries.size(); ++i)
-      dendrogram::pandora_dendrogram_into(executor, *queries[i].mst, queries[i].num_vertices,
-                                          sequential_out[i]);
+    for (std::size_t i = 0; i < trees.size(); ++i)
+      dendrogram::pandora_dendrogram_into(executor, trees[i], num_vertices[i], sequential_out[i]);
   };
   sequential_pass();  // warm the parent arena
   const bench::Measurement sequential = bench::measure(5, sequential_pass);
 
-  std::vector<dendrogram::Dendrogram> batched_out(queries.size());
-  batch.build_dendrograms_into(queries, batched_out);  // warm the slot arenas
-  const bench::Measurement batched = bench::measure(5, [&] {
-    batch.build_dendrograms_into(queries, batched_out);
-  });
+  // The same queries as one batch: one job per tree, sized by its edge
+  // count, each writing its own output slot.
+  std::vector<dendrogram::Dendrogram> batched_out(trees.size());
+  std::vector<serve::BatchExecutor::Job> jobs;
+  for (std::size_t i = 0; i < trees.size(); ++i) {
+    jobs.push_back({[&, i](const exec::Executor& exec) {
+                      dendrogram::pandora_dendrogram_into(exec, trees[i], num_vertices[i],
+                                                          batched_out[i]);
+                    },
+                    static_cast<size_type>(trees[i].size())});
+  }
+  const auto batched_pass = [&] {
+    for (const serve::JobResult& result : batch.run_jobs(jobs)) {
+      if (result.outcome != serve::JobOutcome::ok) {
+        std::fprintf(stderr, "FATAL: a %s query did not complete\n", name);
+        std::exit(1);
+      }
+    }
+  };
+  batched_pass();  // warm the slot arenas
+  const bench::Measurement batched = bench::measure(5, batched_pass);
 
   size_type total_edges = 0;
   for (const auto& tree : trees) total_edges += static_cast<size_type>(tree.size());
   const double speedup = batched.median() > 0 ? sequential.median() / batched.median() : 0.0;
 
   std::printf("%-14s | %4zu queries %9lld edges | seq %8.2fms  batch %8.2fms | %5.2fx\n",
-              name, queries.size(), static_cast<long long>(total_edges),
+              name, trees.size(), static_cast<long long>(total_edges),
               1e3 * sequential.median(), 1e3 * batched.median(), speedup);
 
   // Shared-ArtifactCache traffic over this scenario, read back from the
@@ -119,7 +131,7 @@ void run_scenario(const char* name, const exec::Executor& executor,
   // rides along in the report's top-level "metrics" object.)
   json.field("scenario", std::string(name))
       .field("backend", std::string(executor.name()))
-      .field("num_queries", static_cast<std::int64_t>(queries.size()))
+      .field("num_queries", static_cast<std::int64_t>(trees.size()))
       .field("total_edges", total_edges)
       .field("num_slots", static_cast<std::int64_t>(batch.num_slots()))
       .timing("sequential", sequential)

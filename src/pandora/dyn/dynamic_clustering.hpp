@@ -114,8 +114,8 @@ struct ArtifactBundle {
 ///
 /// Not thread-safe (one Executor, one writer).  To serve reads while it
 /// updates, wrap it in `snapshot::PublishedClustering`: readers pin immutable
-/// snapshots, and `serve::BatchExecutor::run_waves` runs query waves beside
-/// the writer.
+/// snapshots (a `serve::BatchExecutor::run_jobs` job calls `acquire()`) while
+/// the writer thread inserts and erases beside the batch.
 class DynamicClustering {
  public:
   explicit DynamicClustering(const exec::Executor& exec, DynamicOptions options = {});

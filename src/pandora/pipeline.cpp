@@ -32,12 +32,14 @@ dendrogram::Dendrogram Pipeline::build_dendrogram(const dendrogram::SortedEdges&
 
 std::vector<double> Pipeline::core_distances(const spatial::PointSet& points,
                                              const spatial::KdTree& tree) const {
+  if (validate_input_) spatial::validate_points(points, "core_distances");
   return cancellable(
       [&] { return hdbscan::core_distances(*executor_, points, tree, options_.min_pts); });
 }
 
 graph::EdgeList Pipeline::build_mst(const spatial::PointSet& points,
                                     const spatial::KdTree& tree) const {
+  if (validate_input_) spatial::validate_points(points, "build_mst");
   return cancellable([&] {
     if (options_.min_pts <= 1) return spatial::euclidean_mst(*executor_, points, tree);
     const hdbscan::CoreDistances core =

@@ -2,18 +2,14 @@
 
 #include <chrono>
 
-#include "pandora/common/expect.hpp"
 #include "pandora/common/types.hpp"
 #include "pandora/dendrogram/dendrogram.hpp"
 #include "pandora/dendrogram/pandora.hpp"
 #include "pandora/dendrogram/sorted_edges.hpp"
-#include "pandora/dyn/dynamic_clustering.hpp"
 #include "pandora/exec/executor.hpp"
 #include "pandora/graph/edge.hpp"
 #include "pandora/hdbscan/hdbscan.hpp"
 #include "pandora/serve/batch_executor.hpp"
-#include "pandora/snapshot/published_clustering.hpp"
-#include "pandora/snapshot/snapshot.hpp"
 #include "pandora/spatial/kdtree.hpp"
 #include "pandora/spatial/point_set.hpp"
 
@@ -37,38 +33,17 @@ namespace pandora {
 /// `with_*` returns *this for chaining.  Terminal operations delegate to the
 /// Executor-based free functions, so repeated calls on one executor reuse
 /// its workspace arena and time their phases through `Executor::phase`.
+///
+/// `on(executor)` is the one factory.  A backend's shared executor is
+/// `Pipeline::on(exec::default_executor(backend))`.  Snapshot reads and
+/// mutable corpora have their own types and are not pipeline terminals:
+/// call `Snapshot::hdbscan` / `sweep_*` on an acquired snapshot (under an
+/// `exec::ScopedCancellation` for a deadline), and construct
+/// `dyn::DynamicClustering(executor)` or
+/// `snapshot::PublishedClustering(executor)` directly.
 class Pipeline {
  public:
   [[nodiscard]] static Pipeline on(const exec::Executor& executor) { return Pipeline(executor); }
-
-  /// Backend front door: a pipeline over the per-thread default executor of
-  /// `backend` — `Pipeline::on(exec::pinned_pool_backend())` runs the whole
-  /// pipeline on the pinned worker pool without managing an Executor by
-  /// hand.  The shared default executor keeps its warm workspace arena and
-  /// artifact cache across pipelines on the same backend.
-  [[nodiscard]] static Pipeline on(const std::shared_ptr<const exec::Backend>& backend) {
-    return Pipeline(exec::default_executor(backend));
-  }
-
-  /// Snapshot front door: a pipeline whose terminal operations run against a
-  /// pinned `snapshot::Snapshot` instead of caller-supplied points — the
-  /// reader-side idiom of the serving tier:
-  ///
-  ///   snapshot::SnapshotPtr snap = published.acquire();
-  ///   auto clusters = Pipeline::on_snapshot(reader_exec, *snap)
-  ///                       .with_min_pts(4)
-  ///                       .with_min_cluster_size(25)
-  ///                       .run_hdbscan();              // no points argument
-  ///
-  /// Both the executor and the snapshot must outlive the terminal call (hold
-  /// the SnapshotPtr across it).  Point-set terminals (`run_hdbscan(points)`
-  /// etc.) remain available and ignore the snapshot.
-  [[nodiscard]] static Pipeline on_snapshot(const exec::Executor& executor,
-                                            const snapshot::Snapshot& snap) {
-    Pipeline pipeline(executor);
-    pipeline.snapshot_ = &snap;
-    return pipeline;
-  }
 
   // --- configuration -------------------------------------------------------
 
@@ -158,32 +133,6 @@ class Pipeline {
   /// The full HDBSCAN* pipeline.
   [[nodiscard]] hdbscan::HdbscanResult run_hdbscan(const spatial::PointSet& points) const;
 
-  // --- snapshot terminals (require on_snapshot) ------------------------------
-
-  /// HDBSCAN* against the pinned snapshot (see Snapshot::hdbscan).
-  [[nodiscard]] hdbscan::HdbscanResult run_hdbscan() const {
-    PANDORA_EXPECT(snapshot_ != nullptr, "run_hdbscan() without points requires on_snapshot");
-    return cancellable([&] { return snapshot_->hdbscan(*executor_, options_); });
-  }
-
-  /// `min_cluster_size` sweep against the pinned snapshot.
-  [[nodiscard]] hdbscan::MinClusterSizeSweep sweep_min_cluster_size(
-      std::span<const index_t> min_cluster_sizes) const {
-    PANDORA_EXPECT(snapshot_ != nullptr,
-                   "sweep_min_cluster_size() without points requires on_snapshot");
-    return cancellable(
-        [&] { return snapshot_->sweep_min_cluster_size(*executor_, min_cluster_sizes, options_); });
-  }
-
-  /// mpts sweep against the pinned snapshot.
-  [[nodiscard]] std::vector<hdbscan::HdbscanResult> sweep_min_pts(
-      std::span<const int> min_pts_values) const {
-    PANDORA_EXPECT(snapshot_ != nullptr,
-                   "sweep_min_pts() without points requires on_snapshot");
-    return cancellable(
-        [&] { return snapshot_->sweep_min_pts(*executor_, min_pts_values, options_); });
-  }
-
   // --- batched serving & parameter sweeps -----------------------------------
 
   /// The batched serving front door: a `serve::BatchExecutor` over this
@@ -193,8 +142,8 @@ class Pipeline {
   /// slots share the executor's ArtifactCache:
   ///
   ///   auto batch = Pipeline::on(executor).batch();
-  ///   std::vector<dendrogram::Dendrogram> dendrograms =
-  ///       batch.build_dendrograms(queries);   // N queries, one machine
+  ///   std::vector<serve::BatchExecutor::Job> jobs = ...;  // one per query
+  ///   std::vector<serve::JobResult> results = batch.run_jobs(jobs);
   ///
   /// Keep the BatchExecutor alive across batches: its slot arenas stay warm,
   /// so steady-state batches perform no arena allocation per slot.
@@ -212,37 +161,6 @@ class Pipeline {
   /// through the ArtifactCache.  See hdbscan_sweep_min_pts.
   [[nodiscard]] std::vector<hdbscan::HdbscanResult> sweep_min_pts(
       const spatial::PointSet& points, std::span<const int> min_pts_values) const;
-
-  // --- streaming / mutable corpora -------------------------------------------
-
-  /// The incremental front door: a `dyn::DynamicClustering` bound to this
-  /// pipeline's executor.  The returned object owns a mutable point set,
-  /// keeps its exact EMST maintained under `insert` / `erase`, and replays
-  /// the dendrogram from the merged edge delta after every update:
-  ///
-  ///   auto stream = Pipeline::on(executor).dynamic();
-  ///   stream.insert(initial_points);
-  ///   stream.insert(new_point);                       // incremental repair
-  ///   const auto& dendrogram = stream.dendrogram();   // already current
-  ///
-  /// `options` configure the stream's kd index; the pipeline's own settings
-  /// do not carry over.  HDBSCAN* options apply when calling
-  /// `stream.hdbscan()` (pass them there — the stream outlives this
-  /// builder).
-  [[nodiscard]] dyn::DynamicClustering dynamic(dyn::DynamicOptions options = {}) const {
-    return dyn::DynamicClustering(*executor_, options);
-  }
-
-  /// The serving front door: a `snapshot::PublishedClustering` whose writer
-  /// side is bound to this pipeline's executor.  Writers mutate and publish;
-  /// readers `acquire()` pinned snapshots from their own threads and query
-  /// them through `Pipeline::on_snapshot` (writers never block readers —
-  /// see published_clustering.hpp).  `options` are taken verbatim; the
-  /// pipeline's own settings do not carry over.
-  [[nodiscard]] snapshot::PublishedClustering published(
-      snapshot::PublishedOptions options = {}) const {
-    return snapshot::PublishedClustering(*executor_, options);
-  }
 
   [[nodiscard]] const exec::Executor& executor() const { return *executor_; }
 
@@ -268,7 +186,6 @@ class Pipeline {
   }
 
   const exec::Executor* executor_;
-  const snapshot::Snapshot* snapshot_ = nullptr;
   hdbscan::HdbscanOptions options_;
   bool validate_input_ = false;
   std::chrono::nanoseconds deadline_{0};

@@ -5,7 +5,6 @@
 #include <exception>
 #include <thread>
 
-#include "pandora/common/expect.hpp"
 #include "pandora/common/timer.hpp"
 #include "pandora/exec/cancellation.hpp"
 #include "pandora/obs/metrics.hpp"
@@ -237,109 +236,6 @@ std::vector<JobResult> BatchExecutor::run_jobs(std::span<Job> jobs) {
     drain_large();
   }
 
-  return results;
-}
-
-void BatchExecutor::run(std::span<Job> jobs) {
-  const std::vector<JobResult> results = run_jobs(jobs);
-  // First failure in job order wins; a shed job (no exception object to
-  // rethrow) surfaces as Cancelled so front-door callers see one error
-  // family for "the server gave up on this query".
-  for (const JobResult& result : results) {
-    if (result.outcome == JobOutcome::ok) continue;
-    if (result.error != nullptr) std::rethrow_exception(result.error);
-    throw Cancelled("pandora: query shed by QoS policy under load");
-  }
-}
-
-void BatchExecutor::run_waves(snapshot::PublishedClustering& published,
-                              std::span<SnapshotWave> waves) {
-  std::exception_ptr first_query_error;
-  for (SnapshotWave& wave : waves) {
-    std::vector<Job> jobs;
-    jobs.reserve(wave.queries.size());
-    for (SnapshotJob& query : wave.queries) {
-      PANDORA_EXPECT(query.run != nullptr, "SnapshotJob::run must be set");
-      jobs.push_back(Job{
-          [&published, &query](const exec::Executor& exec) {
-            // Pin at admission: the snapshot current when the job starts.
-            // Immutable from here on — the concurrent writer only publishes
-            // successors, never touches what this query reads.
-            const snapshot::SnapshotPtr snap = published.acquire();
-            query.run(exec, *snap);
-          },
-          query.size_hint,
-          query.tenant,
-      });
-    }
-
-    // The wave's update runs concurrently with its queries: writers never
-    // block readers.  Its failure aborts the remaining waves, but the
-    // queries of this wave still settle first.
-    std::exception_ptr update_error;
-    std::thread writer;
-    if (wave.update) {
-      writer = std::thread([&] {
-        try {
-          wave.update(published);
-        } catch (...) {
-          update_error = std::current_exception();
-        }
-      });
-    }
-    try {
-      run(jobs);
-    } catch (...) {
-      if (first_query_error == nullptr) first_query_error = std::current_exception();
-    }
-    if (writer.joinable()) writer.join();
-    if (update_error != nullptr) std::rethrow_exception(update_error);
-  }
-  if (first_query_error != nullptr) std::rethrow_exception(first_query_error);
-}
-
-void BatchExecutor::build_dendrograms_into(std::span<const DendrogramQuery> queries,
-                                           std::vector<dendrogram::Dendrogram>& out) {
-  out.resize(queries.size());
-  std::vector<Job> jobs;
-  jobs.reserve(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const DendrogramQuery& query = queries[i];
-    PANDORA_EXPECT(query.mst != nullptr, "DendrogramQuery::mst must be set");
-    jobs.push_back(Job{
-        [&query, &slot = out[i]](const exec::Executor& exec) {
-          dendrogram::pandora_dendrogram_into(exec, *query.mst, query.num_vertices, slot,
-                                              query.validate_input);
-        },
-        static_cast<size_type>(query.mst->size()),
-    });
-  }
-  run(jobs);
-}
-
-std::vector<dendrogram::Dendrogram> BatchExecutor::build_dendrograms(
-    std::span<const DendrogramQuery> queries) {
-  std::vector<dendrogram::Dendrogram> results;
-  build_dendrograms_into(queries, results);
-  return results;
-}
-
-std::vector<hdbscan::HdbscanResult> BatchExecutor::run_hdbscan(
-    std::span<const HdbscanQuery> queries) {
-  std::vector<hdbscan::HdbscanResult> results(queries.size());
-  std::vector<Job> jobs;
-  jobs.reserve(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const HdbscanQuery& query = queries[i];
-    PANDORA_EXPECT(query.points != nullptr, "HdbscanQuery::points must be set");
-    jobs.push_back(Job{
-        [&query, &slot = results[i]](const exec::Executor& exec) {
-          slot = hdbscan::hdbscan(exec, *query.points, query.options);
-        },
-        static_cast<size_type>(query.points->size()),
-    });
-  }
-  run(jobs);
   return results;
 }
 

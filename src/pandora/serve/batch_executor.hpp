@@ -11,14 +11,8 @@
 #include <vector>
 
 #include "pandora/common/types.hpp"
-#include "pandora/dendrogram/dendrogram.hpp"
-#include "pandora/dendrogram/pandora.hpp"
 #include "pandora/exec/executor.hpp"
-#include "pandora/graph/edge.hpp"
-#include "pandora/hdbscan/hdbscan.hpp"
-#include "pandora/snapshot/published_clustering.hpp"
-#include "pandora/snapshot/snapshot.hpp"
-#include "pandora/spatial/point_set.hpp"
+#include "pandora/obs/metrics.hpp"
 
 /// Batched multi-query serving on one Executor.
 ///
@@ -43,20 +37,14 @@
 /// parent executor's `ArtifactCache` (thread-safe by its locking contract),
 /// so artifacts computed by any query — sorted edges, kd-trees, core
 /// distances, dendrograms — replay across the whole batch.
+///
+/// The serve layer is a pure job scheduler: it knows executors, not
+/// dendrograms, HDBSCAN* or snapshots.  A query is a `Job` whose closure
+/// calls the library on the executor it is handed, and `run_jobs` is the
+/// one way to submit a batch.  A snapshot reader is a job that calls
+/// `PublishedClustering::acquire()` when it starts; a writer publishing
+/// beside the batch is a plain thread next to the `run_jobs` call.
 namespace pandora::serve {
-
-/// One dendrogram query of a batch: build the dendrogram of `*mst`.
-struct DendrogramQuery {
-  const graph::EdgeList* mst = nullptr;
-  index_t num_vertices = 0;
-  bool validate_input = false;  ///< reject MSTs that are not spanning trees
-};
-
-/// One HDBSCAN* query of a batch: cluster `*points` under `options`.
-struct HdbscanQuery {
-  const spatial::PointSet* points = nullptr;
-  hdbscan::HdbscanOptions options = {};
-};
 
 /// How one job of a batch ended (see BatchExecutor::run_jobs).
 enum class JobOutcome : std::uint8_t {
@@ -190,7 +178,7 @@ class BatchExecutor {
   };
 
   /// Runs every job to completion under the configured `QosPolicy` — the one
-  /// generic way to submit work.  Small jobs execute concurrently: worker
+  /// way to submit work.  Small jobs execute concurrently: worker
   /// threads (one per slot) pull them from a shared queue, so slots stay
   /// busy regardless of how job costs vary.  Large jobs execute on the
   /// calling thread against the parent executor, one at a time —
@@ -205,56 +193,6 @@ class BatchExecutor {
   /// its batchmates *or* hide their results.  Never throws for job failures.
   [[nodiscard]] std::vector<JobResult> run_jobs(std::span<Job> jobs);
 
-  /// A wave of the snapshot-backed streaming workload: queries against
-  /// pinned snapshots of `published`, plus an optional update that runs
-  /// **concurrently with the queries** on a dedicated writer thread.
-  struct SnapshotJob {
-    /// Receives the assigned executor and the snapshot pinned when the job
-    /// was admitted (dispatched to a worker) — queries of one wave may
-    /// observe different epochs, each of them consistent.
-    std::function<void(const exec::Executor&, const snapshot::Snapshot&)> run;
-    size_type size_hint = 0;
-    std::uint64_t tenant = 0;
-  };
-  struct SnapshotWave {
-    std::vector<SnapshotJob> queries;
-    /// Applies mutations through the front door (insert/erase publish
-    /// successor snapshots); may be empty.  Runs on its own thread against
-    /// the PublishedClustering's writer executor.
-    std::function<void(snapshot::PublishedClustering&)> update;
-  };
-
-  /// The wave driver of the serving tier: wave i's queries run batched (as
-  /// `run_jobs`) while wave i's update mutates and publishes concurrently —
-  /// writers never block readers, because every query reads the immutable
-  /// snapshot it acquired at admission.  The next wave starts after both
-  /// settle.
-  ///
-  /// Query failures are isolated per wave: the wave's update and the
-  /// remaining waves still run, and the first failed query (in wave, then
-  /// job order) is rethrown after the final wave; a shed query surfaces as
-  /// `pandora::Cancelled`.  An update exception aborts the remaining waves
-  /// (the stream state is no longer trustworthy) and propagates once the
-  /// wave's queries have settled, superseding any pending query failure.
-  ///
-  /// The PublishedClustering's writer executor must be distinct from this
-  /// batch's parent executor (large jobs run on the parent concurrently
-  /// with the update; an Executor is not thread-safe).
-  void run_waves(snapshot::PublishedClustering& published, std::span<SnapshotWave> waves);
-
-  /// Batched dendrogram construction; results are index-aligned with
-  /// `queries`.  `build_dendrograms_into` reuses the storage of `out`
-  /// (index-aligned, resized to the query count): a second identical batch
-  /// on warm slots performs no steady-state arena allocation.
-  [[nodiscard]] std::vector<dendrogram::Dendrogram> build_dendrograms(
-      std::span<const DendrogramQuery> queries);
-  void build_dendrograms_into(std::span<const DendrogramQuery> queries,
-                              std::vector<dendrogram::Dendrogram>& out);
-
-  /// Batched HDBSCAN*; results are index-aligned with `queries`.
-  [[nodiscard]] std::vector<hdbscan::HdbscanResult> run_hdbscan(
-      std::span<const HdbscanQuery> queries);
-
   [[nodiscard]] const exec::Executor& parent() const noexcept { return *parent_; }
   [[nodiscard]] int num_slots() const noexcept { return static_cast<int>(slots_.size()); }
   /// Slot executors, exposed so tests and benches can inspect per-slot
@@ -263,11 +201,6 @@ class BatchExecutor {
   [[nodiscard]] const BatchOptions& options() const noexcept { return options_; }
 
  private:
-  /// `run_jobs`, then rethrows the first failure in job order — the
-  /// exception-based contract of the typed front doors.  A shed job has no
-  /// exception of its own and surfaces as `pandora::Cancelled`.
-  void run(std::span<Job> jobs);
-
   /// Rolling latency model behind `QosPolicy::adaptive`, heap-held like the
   /// batch mutex so the executor stays movable.  Completing ok jobs write it
   /// (relaxed atomics, from any worker); admission reads it.

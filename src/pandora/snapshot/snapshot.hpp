@@ -22,9 +22,10 @@
 /// `snapshot::Snapshot` is one epoch of a stream frozen as an immutable,
 /// refcounted unit: the points plus every maintained derived structure
 /// (EMST, canonical sorted run, dendrogram), all consistent with one
-/// `exec::epoch_fingerprint`.  Readers run full queries against it — HDBSCAN*,
-/// `min_cluster_size` / mpts sweeps, `Pipeline::on_snapshot` — with complete
-/// intra-query parallelism and never take a lock a writer holds: everything
+/// `exec::epoch_fingerprint`.  Readers run full queries against it — HDBSCAN*
+/// and `min_cluster_size` / mpts sweeps, under an `exec::ScopedCancellation`
+/// when they carry a deadline — with complete intra-query parallelism and
+/// never take a lock a writer holds: everything
 /// a query reads is immutable, and everything it caches lands in the serving
 /// cache under the snapshot's epoch key, pinned against eviction for the
 /// snapshot's lifetime.

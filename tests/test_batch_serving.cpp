@@ -19,6 +19,7 @@ namespace {
 
 using namespace pandora;
 using pandora::testing::Topology;
+using pandora::testing::dendrogram_job;
 using pandora::testing::make_tree;
 
 std::vector<graph::EdgeList> make_batch_trees(index_t num_vertices, std::size_t count) {
@@ -27,6 +28,18 @@ std::vector<graph::EdgeList> make_batch_trees(index_t num_vertices, std::size_t 
   for (std::size_t i = 0; i < count; ++i)
     trees.push_back(make_tree(Topology::random_attach, num_vertices, 100 + i, 0));
   return trees;
+}
+
+/// Builds the dendrograms of `trees` (vertex counts `sizes`) as one batch,
+/// one `dendrogram_job` per tree, into `out`; every job must end ok.
+void build_batch(serve::BatchExecutor& batch, const std::vector<graph::EdgeList>& trees,
+                 const std::vector<index_t>& sizes, std::vector<dendrogram::Dendrogram>& out) {
+  out.resize(trees.size());
+  std::vector<serve::BatchExecutor::Job> jobs;
+  for (std::size_t i = 0; i < trees.size(); ++i)
+    jobs.push_back(dendrogram_job(trees[i], sizes[i], out[i]));
+  for (const serve::JobResult& result : batch.run_jobs(jobs))
+    EXPECT_EQ(result.outcome, serve::JobOutcome::ok);
 }
 
 TEST(BatchExecutor, BatchedDendrogramsMatchSequential) {
@@ -42,16 +55,13 @@ TEST(BatchExecutor, BatchedDendrogramsMatchSequential) {
   ASSERT_GT(static_cast<size_type>(trees[1].size()), batch.options().small_query_threshold);
   ASSERT_LT(static_cast<size_type>(trees[0].size()), batch.options().small_query_threshold);
 
-  std::vector<serve::DendrogramQuery> queries;
-  for (std::size_t i = 0; i < trees.size(); ++i)
-    queries.push_back({&trees[i], sizes[i]});
-
-  const std::vector<dendrogram::Dendrogram> batched = batch.build_dendrograms(queries);
+  std::vector<dendrogram::Dendrogram> batched;
+  build_batch(batch, trees, sizes, batched);
 
   // Sequential reference on an independent executor.
   const exec::Executor reference(exec::default_backend(), 4);
-  ASSERT_EQ(batched.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
+  ASSERT_EQ(batched.size(), trees.size());
+  for (std::size_t i = 0; i < trees.size(); ++i) {
     const dendrogram::Dendrogram expected =
         dendrogram::pandora_dendrogram(reference, trees[i], sizes[i]);
     EXPECT_EQ(batched[i].parent, expected.parent) << "query " << i;
@@ -68,19 +78,23 @@ TEST(BatchExecutor, BatchedHdbscanMatchesSequential) {
   for (unsigned seed = 0; seed < 4; ++seed)
     point_sets.push_back(data::gaussian_blobs(400, 2, 3, 0.03, 0.2, seed));
 
-  std::vector<serve::HdbscanQuery> queries;
-  for (auto& points : point_sets) {
-    hdbscan::HdbscanOptions options;
-    options.min_pts = 4;
-    options.min_cluster_size = 10;
-    queries.push_back({&points, options});
+  hdbscan::HdbscanOptions options;
+  options.min_pts = 4;
+  options.min_cluster_size = 10;
+  std::vector<hdbscan::HdbscanResult> batched(point_sets.size());
+  std::vector<serve::BatchExecutor::Job> jobs;
+  for (std::size_t i = 0; i < point_sets.size(); ++i) {
+    jobs.push_back({[&, i](const exec::Executor& exec) {
+                      batched[i] = hdbscan::hdbscan(exec, point_sets[i], options);
+                    },
+                    static_cast<size_type>(point_sets[i].size())});
   }
-  const std::vector<hdbscan::HdbscanResult> batched = batch.run_hdbscan(queries);
+  for (const serve::JobResult& result : batch.run_jobs(jobs))
+    EXPECT_EQ(result.outcome, serve::JobOutcome::ok);
 
   const exec::Executor reference(exec::default_backend(), 4);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const hdbscan::HdbscanResult expected =
-        hdbscan::hdbscan(reference, point_sets[i], queries[i].options);
+  for (std::size_t i = 0; i < point_sets.size(); ++i) {
+    const hdbscan::HdbscanResult expected = hdbscan::hdbscan(reference, point_sets[i], options);
     EXPECT_EQ(batched[i].labels, expected.labels) << "query " << i;
     EXPECT_EQ(batched[i].num_clusters, expected.num_clusters) << "query " << i;
     EXPECT_EQ(batched[i].dendrogram.parent, expected.dendrogram.parent) << "query " << i;
@@ -100,8 +114,7 @@ TEST(BatchExecutor, SlotArenasReachSteadyState) {
   // guarantee is *convergence*: within a few batches, a whole batch leases
   // everything from recycled per-slot blocks.
   const std::vector<graph::EdgeList> trees = make_batch_trees(4000, 8);
-  std::vector<serve::DendrogramQuery> queries;
-  for (const auto& tree : trees) queries.push_back({&tree, 4000});
+  const std::vector<index_t> sizes(trees.size(), 4000);
 
   const auto total_misses = [&] {
     std::size_t misses = 0;
@@ -111,11 +124,11 @@ TEST(BatchExecutor, SlotArenasReachSteadyState) {
   };
 
   std::vector<dendrogram::Dendrogram> out;
-  batch.build_dendrograms_into(queries, out);  // cold batch
+  build_batch(batch, trees, sizes, out);  // cold batch
   std::size_t previous = total_misses();
   bool steady = false;
   for (int round = 0; round < 20 && !steady; ++round) {
-    batch.build_dendrograms_into(queries, out);
+    build_batch(batch, trees, sizes, out);
     const std::size_t now = total_misses();
     steady = now == previous;
     previous = now;
@@ -135,10 +148,13 @@ TEST(BatchExecutor, SlotsShareTheParentArtifactCache) {
   (void)dendrogram::sorted_edges_cached(parent, tree, 3000);
   const auto warm_stats = parent.artifact_cache().stats();
 
-  std::vector<serve::DendrogramQuery> queries(8, serve::DendrogramQuery{&tree, 3000});
-  const std::vector<dendrogram::Dendrogram> results = batch.build_dendrograms(queries);
+  std::vector<dendrogram::Dendrogram> results(8);
+  std::vector<serve::BatchExecutor::Job> jobs;
+  for (dendrogram::Dendrogram& out : results) jobs.push_back(dendrogram_job(tree, 3000, out));
+  for (const serve::JobResult& result : batch.run_jobs(jobs))
+    EXPECT_EQ(result.outcome, serve::JobOutcome::ok);
   const auto stats = parent.artifact_cache().stats();
-  EXPECT_GE(stats.hits - warm_stats.hits, queries.size())
+  EXPECT_GE(stats.hits - warm_stats.hits, jobs.size())
       << "all slots look up the shared cache and hit the pre-warmed artifact";
   for (const auto& d : results) EXPECT_EQ(d.parent, results[0].parent);
 }
@@ -153,8 +169,6 @@ TEST(BatchExecutor, OverlappedAndSequentialPhasesAgree) {
   std::vector<index_t> sizes = {600, 30000, 900, 700, 30000, 1100};
   for (std::size_t i = 0; i < sizes.size(); ++i)
     trees.push_back(make_tree(Topology::random_attach, sizes[i], 11 * i + 3, 0));
-  std::vector<serve::DendrogramQuery> queries;
-  for (std::size_t i = 0; i < trees.size(); ++i) queries.push_back({&trees[i], sizes[i]});
 
   serve::BatchOptions overlapped_options;
   overlapped_options.num_slots = 2;
@@ -164,8 +178,9 @@ TEST(BatchExecutor, OverlappedAndSequentialPhasesAgree) {
 
   serve::BatchExecutor overlapped(parent, overlapped_options);
   serve::BatchExecutor sequential(parent, sequential_options);
-  const auto via_overlap = overlapped.build_dendrograms(queries);
-  const auto via_sequence = sequential.build_dendrograms(queries);
+  std::vector<dendrogram::Dendrogram> via_overlap, via_sequence;
+  build_batch(overlapped, trees, sizes, via_overlap);
+  build_batch(sequential, trees, sizes, via_sequence);
   ASSERT_EQ(via_overlap.size(), via_sequence.size());
   for (std::size_t i = 0; i < via_overlap.size(); ++i) {
     EXPECT_EQ(via_overlap[i].parent, via_sequence[i].parent) << "query " << i;
@@ -208,19 +223,6 @@ TEST(BatchExecutor, ExceptionsAreIsolatedPerJob) {
         << "job " << i;
   }
   EXPECT_THROW(std::rethrow_exception(results[2].error), std::runtime_error);
-
-  // The typed front doors rethrow the first failure once every query has
-  // settled: the valid queries around the poisoned one are still built.
-  const graph::EdgeList tree = make_tree(Topology::random_attach, 500, 3, 0);
-  graph::EdgeList not_a_tree = tree;
-  not_a_tree[0] = not_a_tree[1];  // a duplicate edge: not a spanning tree
-  const std::vector<serve::DendrogramQuery> queries = {
-      {&tree, 500}, {&not_a_tree, 500, /*validate_input=*/true}, {&tree, 500}};
-  std::vector<dendrogram::Dendrogram> out;
-  EXPECT_THROW(batch.build_dendrograms_into(queries, out), std::invalid_argument);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].parent, out[2].parent);
-  EXPECT_EQ(out[2].num_edges, 499);
 }
 
 TEST(BatchExecutor, TenantQuotaConfinesEvictionToTheOffendingTenant) {
@@ -266,13 +268,12 @@ TEST(BatchExecutor, TenantQuotaConfinesEvictionToTheOffendingTenant) {
 TEST(BatchExecutor, PipelineBatchFrontDoor) {
   const exec::Executor executor(exec::default_backend(), 2);
   const std::vector<graph::EdgeList> trees = make_batch_trees(1500, 3);
-  std::vector<serve::DendrogramQuery> queries;
-  for (const auto& tree : trees) queries.push_back({&tree, 1500});
 
   serve::BatchExecutor batch = Pipeline::on(executor).batch();
-  const auto dendrograms = batch.build_dendrograms(queries);
+  std::vector<dendrogram::Dendrogram> dendrograms;
+  build_batch(batch, trees, std::vector<index_t>(trees.size(), 1500), dendrograms);
   ASSERT_EQ(dendrograms.size(), 3u);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
+  for (std::size_t i = 0; i < trees.size(); ++i) {
     const auto expected = dendrogram::pandora_dendrogram(executor, trees[i], 1500);
     EXPECT_EQ(dendrograms[i].parent, expected.parent);
   }

@@ -1,9 +1,9 @@
 // Cooperative cancellation and deadlines: token semantics, the run_chunks
 // chunk-boundary contract on every backend, the serial-fallback polling of
-// parallel_for, and the Pipeline deadline/cancellation front doors.  The
-// load-bearing invariant: cancellation unwinds with pandora::Cancelled on
-// the *calling* thread (chunk bodies never throw — Backend contract) and a
-// cancelled executor is immediately reusable.
+// parallel_for, the Pipeline deadline/cancellation front doors, and a scoped
+// deadline around a snapshot read.  The load-bearing invariant: cancellation
+// unwinds with pandora::Cancelled on the *calling* thread (chunk bodies never
+// throw — Backend contract) and a cancelled executor is immediately reusable.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "pandora/exec/executor.hpp"
 #include "pandora/exec/parallel.hpp"
 #include "pandora/pipeline.hpp"
+#include "pandora/snapshot/published_clustering.hpp"
 
 namespace {
 
@@ -169,16 +170,21 @@ TEST(Cancellation, PipelineExternalTokenCancelsFromAnotherThread) {
   SUCCEED();
 }
 
-TEST(Cancellation, PipelineSnapshotTerminalHonoursDeadline) {
+TEST(Cancellation, SnapshotReadHonoursScopedDeadline) {
   const exec::Executor writer(exec::serial_backend());
   snapshot::PublishedClustering published(writer);
   published.insert(data::gaussian_blobs(2000, 2, 3, 0.05, 0.1, 17));
   const snapshot::SnapshotPtr snap = published.acquire();
 
+  // A deadline on a snapshot read is a scoped token on the reader executor.
   const exec::Executor reader;
-  EXPECT_THROW((void)Pipeline::on_snapshot(reader, *snap).with_deadline(1ns).run_hdbscan(),
-               Cancelled);
-  EXPECT_NO_THROW((void)Pipeline::on_snapshot(reader, *snap).run_hdbscan());
+  {
+    exec::CancellationToken deadline;
+    deadline.set_deadline(exec::CancellationToken::clock::now() + 1ns);
+    const exec::ScopedCancellation scope(reader, &deadline);
+    EXPECT_THROW((void)snap->hdbscan(reader, {}), Cancelled);
+  }
+  EXPECT_NO_THROW((void)snap->hdbscan(reader, {}));
 }
 
 TEST(Cancellation, ZeroDeadlineMeansUnlimited) {

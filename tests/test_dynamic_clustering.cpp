@@ -25,12 +25,15 @@
 #include "pandora/graph/tree.hpp"
 #include "pandora/graph/union_find.hpp"
 #include "pandora/pipeline.hpp"
+#include "pandora/snapshot/published_clustering.hpp"
 #include "pandora/spatial/emst.hpp"
 #include "pandora/spatial/kdtree.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
 using namespace pandora;
+using pandora::testing::run_jobs_beside_writer;
 
 /// Sorted (descending) weight array of an edge list — the unique signature
 /// of every MST of a point set (all MSTs share one weight multiset, and
@@ -296,7 +299,7 @@ TEST(DynamicClustering, IdsSurviveCompactionAndRejectDoubleErase) {
 
 TEST(DynamicClustering, EpochFingerprintsRekeyHdbscanArtifacts) {
   const exec::Executor executor(exec::default_backend());
-  dyn::DynamicClustering stream = Pipeline::on(executor).dynamic();
+  dyn::DynamicClustering stream(executor);
   stream.insert(data::gaussian_blobs(500, 2, 4, 0.04, 0.1, 13));
 
   hdbscan::HdbscanOptions options;
@@ -325,11 +328,11 @@ TEST(DynamicClustering, EpochFingerprintsRekeyHdbscanArtifacts) {
 }
 
 TEST(DynamicClustering, ServingWavesInterleaveQueriesAndUpdates) {
-  // The serve:: integration: waves of concurrent read-only queries against
-  // pinned snapshots of the stream, while each wave's update publishes a
-  // successor beside them (race-checked by the CI TSan entry).
+  // The serve:: integration: waves of concurrent read-only jobs, each
+  // pinning a snapshot of the stream, while a writer thread publishes a
+  // successor beside every batch (race-checked by the CI TSan entry).
   const exec::Executor writer(exec::default_backend(), 4);
-  snapshot::PublishedClustering published = Pipeline::on(writer).published();
+  snapshot::PublishedClustering published(writer);
   published.insert(data::gaussian_blobs(300, 2, 3, 0.05, 0.1, 21));
 
   const exec::Executor parent(exec::default_backend(), 4);
@@ -344,23 +347,24 @@ TEST(DynamicClustering, ServingWavesInterleaveQueriesAndUpdates) {
   };
   std::vector<Observation> observed(kWaves * kQueriesPerWave);
 
-  std::vector<serve::BatchExecutor::SnapshotWave> waves(kWaves);
   for (int w = 0; w < kWaves; ++w) {
+    std::vector<serve::BatchExecutor::Job> jobs;
     for (int q = 0; q < kQueriesPerWave; ++q) {
-      waves[static_cast<std::size_t>(w)].queries.push_back(serve::BatchExecutor::SnapshotJob{
-          [&slot = observed[static_cast<std::size_t>(w * kQueriesPerWave + q)]](
-              const exec::Executor&, const snapshot::Snapshot& snap) {
-            slot.epoch = snap.epoch();
-            slot.size = snap.size();
-            slot.root = snap.dendrogram().weight.empty() ? 0.0 : snap.dendrogram().weight[0];
-          },
-          /*size_hint=*/16});
+      jobs.push_back({[&published, &slot = observed[static_cast<std::size_t>(
+                                       w * kQueriesPerWave + q)]](const exec::Executor&) {
+                        const snapshot::SnapshotPtr snap = published.acquire();
+                        slot.epoch = snap->epoch();
+                        slot.size = snap->size();
+                        slot.root =
+                            snap->dendrogram().weight.empty() ? 0.0 : snap->dendrogram().weight[0];
+                      },
+                      /*size_hint=*/16});
     }
-    waves[static_cast<std::size_t>(w)].update = [w](snapshot::PublishedClustering& stream) {
-      stream.insert(data::uniform_points(40, 2, 100 + static_cast<std::uint64_t>(w)));
-    };
+    const std::vector<serve::JobResult> results = run_jobs_beside_writer(batch, jobs, [&, w] {
+      published.insert(data::uniform_points(40, 2, 100 + static_cast<std::uint64_t>(w)));
+    });
+    for (const serve::JobResult& result : results) EXPECT_EQ(result.outcome, serve::JobOutcome::ok);
   }
-  batch.run_waves(published, waves);
 
   EXPECT_EQ(published.stream().size(), 300 + kWaves * 40);
   std::map<std::uint64_t, Observation> first_by_epoch;

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "pandora/dendrogram/analysis.hpp"
 #include "pandora/dendrogram/pandora.hpp"
 #include "pandora/dendrogram/union_find_dendrogram.hpp"
+#include "pandora/dyn/dynamic_clustering.hpp"
 #include "pandora/graph/mst.hpp"
 #include "pandora/graph/tree.hpp"
 #include "pandora/hdbscan/hdbscan.hpp"
@@ -139,6 +141,31 @@ TEST(FailureInjection, PipelineValidationRejectsNonFinitePoints) {
   }
   EXPECT_THROW((void)Pipeline::on(exec::default_executor()).run_hdbscan(points),
                std::invalid_argument);
+}
+
+TEST(FailureInjection, PipelineValidationCoversCoreDistancesAndMst) {
+  spatial::PointSet points(2, 8);
+  for (index_t i = 0; i < 8; ++i) points.at(i, 0) = static_cast<double>(i);
+  const spatial::KdTree tree(points);  // indexed while every coordinate is finite
+  points.at(5, 1) = std::numeric_limits<double>::quiet_NaN();
+  const auto pipeline = Pipeline::on(exec::default_executor()).with_validation();
+  const auto expect_rejected = [](auto&& terminal, const char* name) {
+    try {
+      (void)terminal();
+      ADD_FAILURE() << name << " accepted a NaN coordinate";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("non-finite coordinate"), std::string::npos)
+          << name << ": " << e.what();
+    }
+  };
+  expect_rejected([&] { return pipeline.core_distances(points, tree); }, "core_distances");
+  expect_rejected([&] { return pipeline.build_mst(points, tree); }, "build_mst");
+  expect_rejected(
+      [&] {
+        Pipeline euclidean = pipeline;
+        return euclidean.with_min_pts(1).build_mst(points, tree);
+      },
+      "build_mst (min_pts 1)");
 }
 
 TEST(FailureInjection, DynInsertRejectsNonFinitePointsWithoutMutating) {

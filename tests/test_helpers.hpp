@@ -1,7 +1,11 @@
 #pragma once
 
+#include <exception>
+#include <functional>
 #include <ostream>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pandora/common/rng.hpp"
@@ -9,6 +13,7 @@
 #include "pandora/dendrogram/expansion.hpp"
 #include "pandora/dendrogram/pandora.hpp"
 #include "pandora/graph/edge.hpp"
+#include "pandora/serve/batch_executor.hpp"
 
 namespace pandora::testing {
 
@@ -62,6 +67,40 @@ inline graph::EdgeList make_tree(Topology topology, index_t num_vertices, std::u
   }
   data::assign_random_weights(edges, rng, distinct_weights);
   return edges;
+}
+
+/// One `serve::BatchExecutor::run_jobs` job per tree: builds the PANDORA
+/// dendrogram of `mst` into `out` on the executor the scheduler assigns,
+/// sized by the edge count (what the small/large split reads).  `mst` and
+/// `out` must outlive the batch call.
+inline serve::BatchExecutor::Job dendrogram_job(const graph::EdgeList& mst, index_t num_vertices,
+                                                dendrogram::Dendrogram& out) {
+  return {[&mst, num_vertices, &out](const exec::Executor& exec) {
+            dendrogram::pandora_dendrogram_into(exec, mst, num_vertices, out);
+          },
+          static_cast<size_type>(mst.size())};
+}
+
+/// One wave of the serving workload: `batch.run_jobs(jobs)` with `update`
+/// running on a writer thread beside it, so reader jobs (each pinning its
+/// snapshot with `acquire()` when it starts) overlap the writer's publishes.
+/// Returns the job outcomes once both have settled; an exception from
+/// `update` is rethrown after the jobs settle.
+inline std::vector<serve::JobResult> run_jobs_beside_writer(
+    serve::BatchExecutor& batch, std::span<serve::BatchExecutor::Job> jobs,
+    const std::function<void()>& update) {
+  std::exception_ptr update_error;
+  std::thread writer([&] {
+    try {
+      update();
+    } catch (...) {
+      update_error = std::current_exception();
+    }
+  });
+  std::vector<serve::JobResult> results = batch.run_jobs(jobs);
+  writer.join();
+  if (update_error != nullptr) std::rethrow_exception(update_error);
+  return results;
 }
 
 /// The two expansions of Section 3.3 as interchangeable MST -> dendrogram

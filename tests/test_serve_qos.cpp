@@ -178,16 +178,6 @@ TEST(ServeQos, FailedJobCapturesItsExceptionWithoutAbortingBatchmates) {
   EXPECT_EQ(results[1].outcome, JobOutcome::ok);
 }
 
-TEST(ServeQos, FrontDoorSurfacesShedAsCancelled) {
-  const exec::Executor parent;
-  BatchOptions options;
-  options.qos.batch_budget = 1ns;
-  BatchExecutor batch(parent, options);
-  const spatial::PointSet points = data::gaussian_blobs(300, 2, 3, 0.05, 0.1, 29);
-  const std::vector<serve::HdbscanQuery> queries(2, serve::HdbscanQuery{&points, {}});
-  EXPECT_THROW((void)batch.run_hdbscan(queries), Cancelled);
-}
-
 TEST(ServeQos, RunJobsReportsEveryFailureInJobOrder) {
   const exec::Executor parent;
   BatchExecutor batch(parent, {});

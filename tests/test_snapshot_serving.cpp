@@ -1,9 +1,9 @@
 // The snapshot:: epoch-published serving tier: publish/acquire lifecycle,
 // reader-pinned epochs under concurrent writer churn (the CI gcc-tsan matrix
 // entry race-checks the stress test), RCU-style reclaim when the last reader
-// drains (the gcc-sanitize / ASan entry leak-checks it), the Pipeline
-// front door, and the snapshot-backed wave driver where writers never block
-// readers.
+// drains (the gcc-sanitize / ASan entry leak-checks it), snapshot sweeps,
+// and serving waves — reader jobs in `run_jobs` beside a writer thread —
+// where writers never block readers.
 
 #include <gtest/gtest.h>
 
@@ -18,14 +18,15 @@
 #include <vector>
 
 #include "pandora/data/point_generators.hpp"
-#include "pandora/pipeline.hpp"
 #include "pandora/serve/batch_executor.hpp"
 #include "pandora/snapshot/published_clustering.hpp"
 #include "pandora/snapshot/snapshot.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
 using namespace pandora;
+using pandora::testing::run_jobs_beside_writer;
 
 hdbscan::HdbscanOptions stress_options() {
   hdbscan::HdbscanOptions options;
@@ -225,23 +226,20 @@ TEST(SnapshotServing, RetiredSnapshotReclaimedWhenLastReaderDrains) {
       << "the retired epoch's pinned entries were purged with it";
 }
 
-TEST(SnapshotServing, PipelineOnSnapshotFrontDoor) {
+TEST(SnapshotServing, SnapshotQueriesReplayAndSweepMatchColdRebuild) {
   const exec::Executor writer_exec(exec::serial_backend());
-  snapshot::PublishedClustering published = Pipeline::on(writer_exec).published();
+  snapshot::PublishedClustering published(writer_exec);
   published.insert(data::gaussian_blobs(400, 2, 3, 0.04, 0.1, 13));
   const snapshot::SnapshotPtr snap = published.acquire();
 
   const exec::Executor reader(exec::serial_backend());
-  const hdbscan::HdbscanResult via_pipeline = Pipeline::on_snapshot(reader, *snap)
-                                                  .with_min_pts(3)
-                                                  .with_min_cluster_size(8)
-                                                  .run_hdbscan();
-  const hdbscan::HdbscanResult direct = snap->hdbscan(reader, stress_options());
-  EXPECT_EQ(via_pipeline.labels, direct.labels);
-  EXPECT_EQ(via_pipeline.num_clusters, direct.num_clusters);
+  const hdbscan::HdbscanResult first = snap->hdbscan(reader, stress_options());
+  const hdbscan::HdbscanResult replay = snap->hdbscan(reader, stress_options());
+  EXPECT_EQ(first.labels, replay.labels);
+  EXPECT_EQ(first.num_clusters, replay.num_clusters);
 
   const std::array<int, 2> mpts = {2, 4};
-  const auto sweep = Pipeline::on_snapshot(reader, *snap).sweep_min_pts(mpts);
+  const auto sweep = snap->sweep_min_pts(reader, mpts);
   ASSERT_EQ(sweep.size(), 2u);
   const exec::Executor cold(exec::serial_backend());
   hdbscan::HdbscanOptions base;
@@ -249,12 +247,12 @@ TEST(SnapshotServing, PipelineOnSnapshotFrontDoor) {
   expect_bit_identical(sweep[1], hdbscan::hdbscan(cold, snap->points(), base), snap->epoch());
 }
 
-// Writers never block readers, witnessed structurally: a reader query that
-// refuses to finish until the wave's own update has published can only
-// complete because the update runs concurrently with the queries (a driver
-// that ran updates between waves would deadlock here).  The update waits for
-// the query to pin its snapshot first: a query admitted only after the
-// publish would pin the successor epoch, which the contract allows.
+// Writers never block readers, witnessed structurally: a reader job that
+// refuses to finish until the writer thread has published can only complete
+// because the writer runs concurrently with `run_jobs` (a server that ran
+// updates between batches would deadlock here).  The writer waits for the
+// job to pin its snapshot first: a job that acquired only after the publish
+// would pin the successor epoch, which the contract allows.
 TEST(SnapshotServing, SnapshotWaveUpdatesRunConcurrentlyWithQueries) {
   const exec::Executor writer_exec(exec::serial_backend());
   snapshot::PublishedClustering published(writer_exec);
@@ -266,24 +264,25 @@ TEST(SnapshotServing, SnapshotWaveUpdatesRunConcurrentlyWithQueries) {
 
   std::atomic<int> queries_ran{0};
   std::atomic<bool> query_pinned{false};
-  std::vector<serve::BatchExecutor::SnapshotWave> waves(1);
-  waves[0].queries.push_back(serve::BatchExecutor::SnapshotJob{
-      [&](const exec::Executor& exec, const snapshot::Snapshot& snap) {
-        query_pinned.store(true);
-        // The pinned epoch stays valid and queryable throughout...
-        (void)snap.hdbscan(exec, stress_options());
-        // ...while we wait for the concurrent update's publish to land.
-        while (published.published_epoch() == epoch_before) std::this_thread::yield();
-        EXPECT_EQ(snap.epoch(), epoch_before) << "the pinned snapshot never moves";
-        queries_ran.fetch_add(1);
-      },
-      /*size_hint=*/16});
-  waves[0].update = [&](snapshot::PublishedClustering& stream) {
+  std::vector<serve::BatchExecutor::Job> jobs;
+  jobs.push_back({[&](const exec::Executor& exec) {
+                    // Pin when the job starts; immutable from here on.
+                    const snapshot::SnapshotPtr snap = published.acquire();
+                    query_pinned.store(true);
+                    // The pinned epoch stays valid and queryable throughout...
+                    (void)snap->hdbscan(exec, stress_options());
+                    // ...while we wait for the concurrent writer's publish to land.
+                    while (published.published_epoch() == epoch_before) std::this_thread::yield();
+                    EXPECT_EQ(snap->epoch(), epoch_before) << "the pinned snapshot never moves";
+                    queries_ran.fetch_add(1);
+                  },
+                  /*size_hint=*/16});
+  const std::vector<serve::JobResult> results = run_jobs_beside_writer(batch, jobs, [&] {
     while (!query_pinned.load()) std::this_thread::yield();
-    stream.insert(data::gaussian_blobs(40, 2, 3, 0.05, 0.1, 18));
-  };
-  batch.run_waves(published, waves);
+    published.insert(data::gaussian_blobs(40, 2, 3, 0.05, 0.1, 18));
+  });
 
+  EXPECT_EQ(results[0].outcome, serve::JobOutcome::ok);
   EXPECT_EQ(queries_ran.load(), 1);
   EXPECT_EQ(published.published_epoch(), epoch_before + 1);
   EXPECT_EQ(published.acquire()->size(), 240);
@@ -308,23 +307,23 @@ TEST(SnapshotServing, SnapshotWaveResultsMatchPinnedEpochRebuilds) {
   };
   std::vector<Observation> observed(kWaves * kQueriesPerWave);
 
-  std::vector<serve::BatchExecutor::SnapshotWave> waves(kWaves);
   for (int w = 0; w < kWaves; ++w) {
+    std::vector<serve::BatchExecutor::Job> jobs;
     for (int q = 0; q < kQueriesPerWave; ++q) {
       Observation& slot = observed[static_cast<std::size_t>(w * kQueriesPerWave + q)];
-      waves[static_cast<std::size_t>(w)].queries.push_back(serve::BatchExecutor::SnapshotJob{
-          [&slot](const exec::Executor& exec, const snapshot::Snapshot& snap) {
-            slot.epoch = snap.epoch();
-            slot.points = std::make_shared<const spatial::PointSet>(snap.points());
-            slot.result = snap.hdbscan(exec, stress_options());
-          },
-          /*size_hint=*/16});
+      jobs.push_back({[&published, &slot](const exec::Executor& exec) {
+                        const snapshot::SnapshotPtr snap = published.acquire();
+                        slot.epoch = snap->epoch();
+                        slot.points = std::make_shared<const spatial::PointSet>(snap->points());
+                        slot.result = snap->hdbscan(exec, stress_options());
+                      },
+                      /*size_hint=*/16});
     }
-    waves[static_cast<std::size_t>(w)].update = [w](snapshot::PublishedClustering& stream) {
-      stream.insert(data::gaussian_blobs(25, 2, 3, 0.04, 0.1, 200 + w));
-    };
+    const std::vector<serve::JobResult> results = run_jobs_beside_writer(batch, jobs, [&, w] {
+      published.insert(data::gaussian_blobs(25, 2, 3, 0.04, 0.1, 200 + w));
+    });
+    for (const serve::JobResult& result : results) EXPECT_EQ(result.outcome, serve::JobOutcome::ok);
   }
-  batch.run_waves(published, waves);
   EXPECT_EQ(published.published_epoch(), 1u + kWaves);
 
   // Queries of one wave may straddle the concurrent publish and so observe
