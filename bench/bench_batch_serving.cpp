@@ -144,13 +144,15 @@ void run_scenario(const char* name, const exec::Executor& executor,
   json.end_row();
 }
 
-/// Admission control under a QoS policy: the same dendrogram batch with one
-/// oversized query (shed while batchmates are pending) and one query carrying
-/// an already-expired deadline (cancelled at its first chunk boundary).  The
-/// payload is the JobOutcome counters, not a timing gate: the JSON row lets
-/// CI watch the shed/cancel plumbing end to end.  On a single hardware thread
-/// the oversized query may be admitted after the small phase drained (no
-/// pressure left), so jobs_shed is reported, not gated.
+/// Admission control under adaptive shedding: the same dendrogram batch with
+/// one oversized query (its size hint claims 4x the work, so the learned
+/// latency model predicts it slow) and one query carrying an already-expired
+/// deadline (cancelled at its first chunk boundary).  The payload is the
+/// JobOutcome counters, not a timing gate: the JSON row lets CI watch the
+/// shed/cancel plumbing end to end.  The oversized query is job 0, so it is
+/// picked up while its batchmates are pending; with more slots than
+/// batchmates (or a noisy latency model) it is admitted instead, so
+/// jobs_shed is reported, not gated.
 void run_qos(const exec::Executor& executor, bench::JsonReport& json) {
   const index_t n = 20000;
   constexpr std::size_t kQueries = 8;
@@ -158,8 +160,7 @@ void run_qos(const exec::Executor& executor, bench::JsonReport& json) {
 
   serve::BatchOptions options;
   options.small_query_threshold = static_cast<size_type>(n);
-  options.qos.shed_above = static_cast<size_type>(n);
-  options.qos.pressure_threshold = 0;
+  options.adaptive_shedding = true;
   serve::BatchExecutor batch = Pipeline::on(executor).batch(options);
 
   std::vector<dendrogram::Dendrogram> out(kQueries);
@@ -173,15 +174,19 @@ void run_qos(const exec::Executor& executor, bench::JsonReport& json) {
         .size_hint = static_cast<size_type>(trees[i].size()),
     });
   }
-  jobs[kQueries - 2].size_hint = 4 * static_cast<size_type>(n);  // above shed_above
-  jobs[kQueries - 1].deadline = std::chrono::nanoseconds(1);     // expired on arrival
+  // Warm passes fill the slot arenas and teach the latency model what the
+  // batch's honest sizes cost; adaptive shedding abstains until
+  // kAdaptiveMinSamples jobs have completed ok.
+  constexpr std::size_t kWarmPasses = serve::BatchExecutor::kAdaptiveMinSamples / kQueries + 1;
+  for (std::size_t pass = 0; pass < kWarmPasses; ++pass) (void)batch.run_jobs(jobs);
 
-  (void)batch.run_jobs(jobs);  // warm the slot arenas
+  jobs[0].size_hint = 4 * static_cast<size_type>(n);         // a large query, predicted slow
+  jobs[kQueries - 1].deadline = std::chrono::nanoseconds(1);  // expired on arrival
 
   // Outcome tallies come back from the obs:: registry, not from the returned
   // JobResult vector — the row doubles as an end-to-end check that the
   // serve-layer instrumentation counts what actually happened.  Deltas start
-  // after the warm pass so the warm batch's outcomes don't pollute the row.
+  // after the warm passes so the warm batches' outcomes don't pollute the row.
   const CounterDelta ok("pandora_serve_jobs_total{outcome=\"ok\"}");
   const CounterDelta shed("pandora_serve_jobs_total{outcome=\"shed\"}");
   const CounterDelta cancelled("pandora_serve_jobs_total{outcome=\"cancelled\"}");

@@ -34,7 +34,7 @@ int main() {
     const index_t n = bench::scaled(1 << 17);
     const spatial::PointSet points =
         data::uniform_points(n, dim, 2024 + static_cast<std::uint64_t>(dim));
-    const std::shared_ptr<const spatial::SoaStore> soa = points.soa();
+    const spatial::SoaStore soa(points.coords().data(), n, dim);
     const std::vector<double> query(static_cast<std::size_t>(dim), 0.5);
     std::vector<double> out(static_cast<std::size_t>(n));
 
@@ -42,8 +42,8 @@ int main() {
     // dead-code-eliminated; also asserts the two paths agree bit-for-bit.
     volatile double sink = 0;
     const auto sweep = [&](auto&& kernel) {
-      for (index_t b = 0; b < soa->num_blocks(); ++b)
-        kernel(query.data(), soa->block(b), dim, soa->block_size(b), spatial::SoaStore::kLane,
+      for (index_t b = 0; b < soa.num_blocks(); ++b)
+        kernel(query.data(), soa.block(b), dim, soa.block_size(b), spatial::SoaStore::kLane,
                out.data() + b * spatial::SoaStore::kLane);
       sink = sink + out[static_cast<std::size_t>(n) / 2];
     };

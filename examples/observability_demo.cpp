@@ -4,8 +4,8 @@
 //
 //   $ ./observability_demo [output-dir]        (default /tmp)
 //
-// Runs a mixed workload: a batched dendrogram-serving phase under an adaptive
-// QoS policy (some jobs deliberately shed), then a snapshot read/write phase
+// Runs a mixed workload: a batched dendrogram-serving phase under adaptive
+// shedding (some jobs deliberately shed), then a snapshot read/write phase
 // (writer churning inserts/erases and publishing epochs while readers run
 // HDBSCAN* against pinned snapshots).  Everything the stack counted and timed
 // along the way is then printed as a Prometheus exposition and the recorded
@@ -32,7 +32,7 @@ using namespace pandora;
 
 namespace {
 
-/// Batched dendrogram serving with tracing on and an adaptive QoS policy:
+/// Batched dendrogram serving with tracing on and adaptive shedding:
 /// a warm-up batch teaches the latency model, then a flood that mixes small
 /// queries with oversized ones the model predicts will blow the tail.
 void serve_phase(const exec::Executor& executor) {
@@ -50,7 +50,7 @@ void serve_phase(const exec::Executor& executor) {
 
   serve::BatchOptions options;
   options.small_query_threshold = static_cast<size_type>(n);
-  options.qos.adaptive = true;
+  options.adaptive_shedding = true;
   serve::BatchExecutor batch = Pipeline::on(executor).batch(options);
 
   std::vector<dendrogram::Dendrogram> out(kQueries);
@@ -76,7 +76,7 @@ void serve_phase(const exec::Executor& executor) {
   (void)batch.run_jobs(flood);
 
   obs::Registry& reg = obs::registry();
-  std::printf("serve phase : %llu jobs ok, %llu shed (adaptive QoS)\n",
+  std::printf("serve phase : %llu jobs ok, %llu shed (adaptive shedding)\n",
               static_cast<unsigned long long>(
                   reg.counter_value("pandora_serve_jobs_total{outcome=\"ok\"}")),
               static_cast<unsigned long long>(

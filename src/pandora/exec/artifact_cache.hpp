@@ -67,14 +67,13 @@ inline obs::Gauge& cache_pinned_metric() {
 /// The uncontended lock costs nanoseconds next to the artifacts being cached
 /// (sorts, tree builds), so the single-query path is unaffected.
 ///
-/// Two serving-tier refinements ride on top of plain LRU:
-///  * **pin groups** — `pin(g)` exempts every entry inserted with
-///    `Owner::pin_group == g` from eviction until the last `unpin(g)`;
-///    `purge_group(g)` reclaims them.  The snapshot tier pins one group per
-///    live snapshot so a reader's artifacts survive concurrent inserts.
-///  * **tenant quotas** — `set_tenant_quota(q)` caps the slots any tenant
-///    (`Owner::tenant != 0`) occupies; a tenant at its cap displaces its own
-///    LRU entry, never another tenant's hot artifact.
+/// One serving-tier refinement rides on top of plain LRU: **pin groups**.
+/// `pin(g)` exempts every entry inserted with pin group `g` from eviction
+/// until the last `unpin(g)`; `purge_group(g)` reclaims them.  The snapshot
+/// tier pins one group per live snapshot so a reader's artifacts survive
+/// concurrent inserts.  `cached_artifact` inserts under the executor's
+/// current group (`Executor::cache_pin_group()`), so upper layers tag
+/// artifacts without threading parameters through every kernel signature.
 class ArtifactCache {
  public:
   /// Observability counters, readable without taking the cache lock (the
@@ -85,16 +84,6 @@ class ArtifactCache {
     std::size_t misses = 0;
     std::size_t evictions = 0;     ///< occupied entries displaced by a different key
     std::size_t pinned_slots = 0;  ///< entries currently belonging to pinned groups
-  };
-
-  /// Provenance attached to an insert: which pin group the entry belongs to
-  /// (0 = none; see `pin`) and which tenant is accountable for its slot
-  /// (0 = none; see `set_tenant_quota`).  Kernels read it off the Executor
-  /// (`Executor::cache_owner()`), so upper layers tag artifacts without
-  /// threading parameters through every kernel signature.
-  struct Owner {
-    std::uint64_t pin_group = 0;
-    std::uint64_t tenant = 0;
   };
 
   static constexpr std::size_t kDefaultSlots = 16;
@@ -124,13 +113,12 @@ class ArtifactCache {
     return nullptr;
   }
 
-  /// Stores `value` under `fingerprint`.  An existing (fingerprint, type)
-  /// entry is replaced in place — callers that detect a stale value (e.g.
-  /// the spatial caches' points-identity check) rely on their re-insert
-  /// superseding it rather than shadowing it behind a duplicate.  Otherwise
-  /// the victim is chosen in order:
-  ///  * a tenant over its quota displaces its own least-recently-used
-  ///    (unpinned) entry — never another tenant's;
+  /// Stores `value` under `fingerprint` in pin group `pin_group` (0 = none;
+  /// see `pin`).  An existing (fingerprint, type) entry is replaced in place
+  /// — callers that detect a stale value (e.g. the spatial caches'
+  /// points-identity check) rely on their re-insert superseding it rather
+  /// than shadowing it behind a duplicate.  Otherwise the victim is chosen
+  /// in order:
   ///  * an empty slot;
   ///  * the least-recently-used entry outside every pinned group;
   ///  * when every slot belongs to a pinned group, the cache *grows* by one
@@ -138,14 +126,12 @@ class ArtifactCache {
   ///    never dropped mid-read (`purge_group` reclaims the overflow when the
   ///    snapshot retires).
   template <class T>
-  void insert(std::uint64_t fingerprint, std::shared_ptr<T> value, Owner owner = {}) {
+  void insert(std::uint64_t fingerprint, std::shared_ptr<T> value, std::uint64_t pin_group = 0) {
     std::shared_ptr<void> doomed;  // evicted value released outside the lock
     const std::lock_guard<std::mutex> lock(mutex_);
     Entry* match = nullptr;
     Entry* empty = nullptr;
-    Entry* lru = nullptr;         // least recent entry outside pinned groups
-    Entry* tenant_lru = nullptr;  // least recent unpinned entry of owner.tenant
-    std::size_t tenant_count = 0;
+    Entry* lru = nullptr;  // least recent entry outside pinned groups
     for (Entry& entry : entries_) {
       if (entry.value == nullptr) {
         if (empty == nullptr) empty = &entry;
@@ -155,20 +141,12 @@ class ArtifactCache {
         match = &entry;
         break;
       }
-      if (owner.tenant != 0 && entry.tenant == owner.tenant) ++tenant_count;
       if (pinned(entry)) continue;
       if (lru == nullptr || entry.stamp < lru->stamp) lru = &entry;
-      if (owner.tenant != 0 && entry.tenant == owner.tenant &&
-          (tenant_lru == nullptr || entry.stamp < tenant_lru->stamp)) {
-        tenant_lru = &entry;
-      }
     }
     Entry* slot = match;
     if (slot == nullptr) {
-      const std::size_t quota = tenant_quota_.load(std::memory_order_relaxed);
-      if (owner.tenant != 0 && quota > 0 && tenant_count >= quota && tenant_lru != nullptr) {
-        slot = tenant_lru;  // quota displacement: the tenant pays with its own entry
-      } else if (empty != nullptr) {
+      if (empty != nullptr) {
         slot = empty;
       } else if (lru != nullptr) {
         slot = lru;
@@ -193,8 +171,7 @@ class ArtifactCache {
     slot->type = &typeid(T);
     slot->value = std::move(value);
     slot->stamp = ++clock_;
-    slot->pin_group = owner.pin_group;
-    slot->tenant = owner.tenant;
+    slot->pin_group = pin_group;
     if (pinned(*slot)) {
       pinned_count_.fetch_add(1, std::memory_order_relaxed);
       detail::cache_pinned_metric().add(1);
@@ -202,7 +179,7 @@ class ArtifactCache {
   }
 
   /// Declares `group` pinned (refcounted): entries inserted with
-  /// `Owner::pin_group == group` are exempt from LRU eviction until the last
+  /// pin group `group` are exempt from LRU eviction until the last
   /// `unpin(group)`.  The snapshot tier pins one group per live snapshot
   /// (keyed by its epoch fingerprint), so a reader mid-query can never lose
   /// an artifact to a colder query's insert.  Group 0 is reserved (never
@@ -260,17 +237,6 @@ class ArtifactCache {
       entries_.pop_back();
   }
 
-  /// Caps how many slots any single tenant (`Owner::tenant != 0`) may occupy:
-  /// once at the cap, a tenant's insert displaces its own least-recently-used
-  /// entry instead of anyone else's.  0 (the default) disables the quota.
-  /// Untagged inserts (tenant 0) are never capped.
-  void set_tenant_quota(std::size_t slots) noexcept {
-    tenant_quota_.store(slots, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t tenant_quota() const noexcept {
-    return tenant_quota_.load(std::memory_order_relaxed);
-  }
-
   void clear() {
     std::vector<Entry> doomed;  // destructors run outside the lock
     {
@@ -309,7 +275,6 @@ class ArtifactCache {
     std::shared_ptr<void> value;
     std::uint64_t stamp = 0;
     std::uint64_t pin_group = 0;
-    std::uint64_t tenant = 0;
   };
 
   /// Call under mutex_.
@@ -326,7 +291,6 @@ class ArtifactCache {
   mutable std::atomic<std::size_t> misses_{0};
   mutable std::atomic<std::size_t> evictions_{0};
   mutable std::atomic<std::size_t> pinned_count_{0};
-  std::atomic<std::size_t> tenant_quota_{0};
 };
 
 namespace detail {
@@ -351,7 +315,7 @@ struct AnyEntry {
 ///    A hit is returned when `reusable(entry)` accepts it (the spatial
 ///    caches reject entries built over another PointSet object).
 ///  * On a miss or a rejected hit it returns `build()`, inserted under the
-///    key with `exec.cache_owner()`; a rejected entry is replaced in place.
+///    key in `exec.cache_pin_group()`; a rejected entry is replaced in place.
 ///
 /// `build()` returns a `std::shared_ptr<Entry>`.  `Exec` is deduced (it is
 /// always `exec::Executor`, whose definition includes this header).
@@ -365,7 +329,7 @@ template <class Entry, class Exec, class BaseKey, class Build, class Reusable = 
   std::shared_ptr<Entry> entry = cache.find<Entry>(key);
   if (entry != nullptr && reusable(std::as_const(*entry))) return entry;
   entry = build();
-  cache.insert(key, entry, exec.cache_owner());
+  cache.insert(key, entry, exec.cache_pin_group());
   return entry;
 }
 

@@ -169,13 +169,12 @@ class Executor {
   /// another cache, so nesting restores correctly.
   [[nodiscard]] ArtifactCache* shared_artifact_cache() const noexcept { return shared_cache_; }
 
-  /// The provenance tag cache-filling kernels attach to their inserts (see
-  /// ArtifactCache::Owner).  Defaults to untagged; the snapshot tier sets the
-  /// pin group for the duration of a pinned read, the batch serving layer
-  /// sets the tenant for the duration of a job.  Mutable behind const like
-  /// the workspace: it is execution *context*, not kernel input.
-  [[nodiscard]] ArtifactCache::Owner cache_owner() const noexcept { return cache_owner_; }
-  void set_cache_owner(ArtifactCache::Owner owner) const noexcept { cache_owner_ = owner; }
+  /// The pin group cache-filling kernels insert their artifacts under (see
+  /// ArtifactCache::pin).  Defaults to 0 (none); the snapshot tier sets it
+  /// for the duration of a pinned read.  Mutable behind const like the
+  /// workspace: it is execution *context*, not kernel input.
+  [[nodiscard]] std::uint64_t cache_pin_group() const noexcept { return cache_pin_group_; }
+  void set_cache_pin_group(std::uint64_t group) const noexcept { cache_pin_group_ = group; }
 
   /// Whether cross-call artifact reuse (e.g. the SortedEdges cache keyed on
   /// the MST fingerprint) is enabled.  On by default; turn off to force every
@@ -269,7 +268,7 @@ class Executor {
   mutable Workspace workspace_;
   mutable ArtifactCache artifact_cache_;
   mutable ArtifactCache* shared_cache_ = nullptr;
-  mutable ArtifactCache::Owner cache_owner_{};
+  mutable std::uint64_t cache_pin_group_ = 0;
   mutable const ScopedPhaseTimes* phase_times_ = nullptr;  ///< innermost open scope
   mutable obs::TraceRecorder* trace_ = nullptr;
   mutable bool artifact_caching_ = true;
@@ -296,22 +295,22 @@ inline ScopedPhaseTimes::~ScopedPhaseTimes() {
   if (times_ != nullptr) executor_.phase_times_ = outer_;
 }
 
-/// Scope guard installing a cache-owner tag on an executor for the duration
-/// of a scope (a pinned snapshot read, a tenant's batch job), restoring the
-/// previous tag on exit so nested scopes compose.
-class ScopedCacheOwner {
+/// Scope guard installing a cache pin group on an executor for the duration
+/// of a scope (a pinned snapshot read), restoring the previous group on exit
+/// so nested scopes compose.
+class ScopedPinGroup {
  public:
-  ScopedCacheOwner(const Executor& executor, ArtifactCache::Owner owner)
-      : executor_(executor), saved_(executor.cache_owner()) {
-    executor_.set_cache_owner(owner);
+  ScopedPinGroup(const Executor& executor, std::uint64_t group)
+      : executor_(executor), saved_(executor.cache_pin_group()) {
+    executor_.set_cache_pin_group(group);
   }
-  ScopedCacheOwner(const ScopedCacheOwner&) = delete;
-  ScopedCacheOwner& operator=(const ScopedCacheOwner&) = delete;
-  ~ScopedCacheOwner() { executor_.set_cache_owner(saved_); }
+  ScopedPinGroup(const ScopedPinGroup&) = delete;
+  ScopedPinGroup& operator=(const ScopedPinGroup&) = delete;
+  ~ScopedPinGroup() { executor_.set_cache_pin_group(saved_); }
 
  private:
   const Executor& executor_;
-  ArtifactCache::Owner saved_;
+  std::uint64_t saved_;
 };
 
 /// Scope guard installing a cancellation token on an executor (a deadline'd

@@ -59,8 +59,7 @@ BatchExecutor::BatchExecutor(const exec::Executor& parent, BatchOptions options)
       options_(options),
       batch_mutex_(std::make_unique<std::mutex>()),
       adaptive_(std::make_unique<AdaptiveState>()) {
-  int slots = options_.num_slots > 0 ? options_.num_slots : parent.num_threads();
-  slots = std::max(slots, 1);
+  const int slots = std::max(parent.num_threads(), 1);
   slots_.reserve(static_cast<std::size_t>(slots));
   for (int i = 0; i < slots; ++i) {
     auto slot = std::make_unique<exec::Executor>(exec::serial_backend());
@@ -69,8 +68,6 @@ BatchExecutor::BatchExecutor(const exec::Executor& parent, BatchOptions options)
     slot->use_shared_artifact_cache(&parent.artifact_cache());
     slots_.push_back(std::move(slot));
   }
-  if (options_.max_cache_slots_per_tenant > 0)
-    parent.artifact_cache().set_tenant_quota(options_.max_cache_slots_per_tenant);
 }
 
 std::vector<JobResult> BatchExecutor::run_jobs(std::span<Job> jobs) {
@@ -86,12 +83,6 @@ std::vector<JobResult> BatchExecutor::run_jobs(std::span<Job> jobs) {
     slot->set_trace_recorder(parent_->trace_recorder());
   }
 
-  const QosPolicy& qos = options_.qos;
-  exec::CancellationToken batch_token;
-  const bool has_batch_budget = qos.batch_budget.count() > 0;
-  if (has_batch_budget)
-    batch_token.set_deadline(exec::CancellationToken::clock::now() + qos.batch_budget);
-
   std::vector<std::size_t> small, large;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     (jobs[i].size_hint <= options_.small_query_threshold ? small : large).push_back(i);
@@ -106,71 +97,53 @@ std::vector<JobResult> BatchExecutor::run_jobs(std::span<Job> jobs) {
   // Runs (or sheds) one job on the executor the scheduler assigned.
   auto run_one = [&](std::size_t j, const exec::Executor& exec) {
     JobResult& result = results[j];
+    const Job& job = jobs[j];
     wait_metric().observe(batch_timer.seconds());
-    // Admission: a spent batch budget sheds everything not yet started, and
-    // under pressure (other jobs still pending beyond the threshold) jobs
-    // over the size cutoff are shed rather than run.
+    // Admission: a job whose token already fired (a spent batch budget, a
+    // caller that gave up) is shed, and so — under adaptive shedding — is
+    // a job predicted slow while the batch is under pressure: more other
+    // jobs pending than slots to absorb them, and the job's predicted run
+    // time (size hint x the observed seconds-per-size-unit rate) above the
+    // rolling p99 of completed-job latency.  Until enough samples
+    // accumulate the model abstains and everything is admitted.
+    bool shed = job.cancellation != nullptr && job.cancellation->cancelled();
     const std::size_t others_pending = unfinished.load(std::memory_order_relaxed) - 1;
-    const bool budget_spent = has_batch_budget && batch_token.cancelled();
-    const bool oversized = qos.shed_above > 0 && jobs[j].size_hint > qos.shed_above &&
-                           others_pending > qos.pressure_threshold;
-    // Adaptive admission (QosPolicy::adaptive): both thresholds derived
-    // online — "under pressure" means more other jobs pending than slots to
-    // absorb them, "oversized" means the job's predicted run time (size hint
-    // x the observed seconds-per-size-unit rate) exceeds the rolling p99 of
-    // completed-job latency (x headroom).  Until enough samples accumulate
-    // the model abstains and everything is admitted.
-    bool predicted_slow = false;
-    if (qos.adaptive && !budget_spent && !oversized &&
+    if (options_.adaptive_shedding && !shed &&
         others_pending > static_cast<std::size_t>(num_slots())) {
       const AdaptiveState& model = *adaptive_;
       const std::uint64_t total_ns = model.total_ns.load(std::memory_order_relaxed);
       const std::uint64_t total_size = model.total_size.load(std::memory_order_relaxed);
-      if (model.latency.count() >= qos.adaptive_min_samples && total_ns > 0 && total_size > 0) {
+      if (model.latency.count() >= kAdaptiveMinSamples && total_ns > 0 && total_size > 0) {
         const double seconds_per_unit =
             1e-9 * static_cast<double>(total_ns) / static_cast<double>(total_size);
         const double predicted =
-            static_cast<double>(std::max<size_type>(jobs[j].size_hint, 1)) * seconds_per_unit;
-        predicted_slow = predicted > qos.adaptive_headroom * model.latency.quantile(0.99);
+            static_cast<double>(std::max<size_type>(job.size_hint, 1)) * seconds_per_unit;
+        shed = predicted > model.latency.quantile(0.99);
       }
     }
-    if (budget_spent || oversized || predicted_slow) {
+    if (shed) {
       result.outcome = JobOutcome::shed;
       jobs_metric(JobOutcome::shed).inc();
       unfinished.fetch_sub(1, std::memory_order_relaxed);
       return;
     }
 
-    // Per-job token: own deadline (job's, else the policy default), chained
-    // to the batch budget and the caller's token.  Stack-allocated — the
-    // scope guard uninstalls it before it dies.
+    // Per-job token: the job's own deadline, chained to the caller's token.
+    // Stack-allocated — the scope guard uninstalls it before it dies.
     exec::CancellationToken job_token;
-    const std::chrono::nanoseconds deadline =
-        jobs[j].deadline.count() > 0 ? jobs[j].deadline : qos.job_deadline;
-    bool cancellable = false;
-    if (deadline.count() > 0) {
-      job_token.set_deadline(exec::CancellationToken::clock::now() + deadline);
-      cancellable = true;
-    }
-    if (has_batch_budget) {
-      job_token.add_parent(&batch_token);
-      cancellable = true;
-    }
-    if (jobs[j].cancellation != nullptr) {
-      job_token.add_parent(jobs[j].cancellation);
-      cancellable = true;
-    }
+    if (job.deadline.count() > 0)
+      job_token.set_deadline(exec::CancellationToken::clock::now() + job.deadline);
+    job_token.add_parent(job.cancellation);
+    const bool cancellable = job.deadline.count() > 0 || job.cancellation != nullptr;
 
     Timer timer;
     try {
-      // The job's tenant tag governs cache-quota accounting for every
-      // artifact the job inserts.  The job-level span wraps the whole run —
-      // phases and run_chunks launches nest inside it — and still records
-      // when the job unwinds with an exception.
+      // The job-level span wraps the whole run — phases and run_chunks
+      // launches nest inside it — and still records when the job unwinds
+      // with an exception.
       const exec::ScopedSpan span(exec, "serve.job");
-      const exec::ScopedCacheOwner owner(exec, exec::ArtifactCache::Owner{0, jobs[j].tenant});
       const exec::ScopedCancellation scope(exec, cancellable ? &job_token : nullptr);
-      jobs[j].run(exec);
+      job.run(exec);
       result.outcome = JobOutcome::ok;
     } catch (const Cancelled&) {
       result.outcome = JobOutcome::cancelled;
@@ -185,7 +158,7 @@ std::vector<JobResult> BatchExecutor::run_jobs(std::span<Job> jobs) {
     if (result.outcome == JobOutcome::ok) {
       adaptive_->latency.observe(result.seconds);
       adaptive_->total_size.fetch_add(
-          static_cast<std::uint64_t>(std::max<size_type>(jobs[j].size_hint, 1)),
+          static_cast<std::uint64_t>(std::max<size_type>(job.size_hint, 1)),
           std::memory_order_relaxed);
       adaptive_->total_ns.fetch_add(static_cast<std::uint64_t>(result.seconds * 1e9),
                                     std::memory_order_relaxed);
@@ -205,37 +178,26 @@ std::vector<JobResult> BatchExecutor::run_jobs(std::span<Job> jobs) {
       run_one(small[next], slot_exec);
     }
   };
-  // Large queries one at a time on the calling thread with full intra-query
-  // parallelism against the parent executor.
-  auto drain_large = [&] {
-    for (const std::size_t j : large) run_one(j, *parent_);
-  };
 
-  // With overlap (the default) the calling thread drains the large queue
-  // while the slot workers drain the small one, so neither phase waits for
-  // the other; large jobs mutate only the parent executor, small jobs only
-  // their slot, and the shared ArtifactCache locks internally.  Under
-  // pressure, the deprioritise knob turns overlap off for this batch so the
-  // small queries drain first.  Without overlap — or when one of the queues
-  // is empty — the phases run in sequence, and a small-only batch keeps the
-  // old single-worker shortcut (no thread spawn when one worker suffices).
-  const bool deprioritise = qos.deprioritise_large_under_pressure &&
-                            jobs.size() > qos.pressure_threshold + 1;
+  // A small-only batch that one worker can drain runs inline: no thread
+  // spawn when one worker suffices.
   const int workers = std::min<int>(num_slots(), static_cast<int>(small.size()));
-  const bool overlapped =
-      options_.overlap_phases && !deprioritise && !small.empty() && !large.empty();
-  if (overlapped || workers > 1) {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) pool.emplace_back(drain, w);
-    if (overlapped) drain_large();
-    for (std::thread& t : pool) t.join();
-    if (!overlapped) drain_large();
-  } else {
-    if (workers == 1) drain(0);
-    drain_large();
+  if (workers == 1 && large.empty()) {
+    drain(0);
+    return results;
   }
-
+  // Otherwise the slot workers drain the small queue while the calling
+  // thread drains the large one — one at a time, with full intra-query
+  // parallelism against the parent executor — so neither phase waits for
+  // the other.  Safe because large jobs mutate only the parent executor and
+  // small jobs only their slot; the shared ArtifactCache locks internally.
+  // The cost is transient oversubscription (the parent's OpenMP team plus
+  // the slot workers, bounded by 2x the budget).
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(workers));
+  for (int w = 0; w < workers; ++w) pool.emplace_back(drain, w);
+  for (const std::size_t j : large) run_one(j, *parent_);
+  for (std::thread& t : pool) t.join();
   return results;
 }
 

@@ -25,8 +25,9 @@
 /// thread budget *across* queries instead:
 ///
 ///  * **small queries are packed per thread**: each runs serially on one of
-///    N persistent slot executors, N slots running concurrently — query-level
-///    parallelism with zero fork/join inside a query;
+///    N persistent slot executors (N = the parent's thread budget), all N
+///    running concurrently — query-level parallelism with zero fork/join
+///    inside a query;
 ///  * **large queries keep intra-query parallelism**: they run one at a time
 ///    on the parent executor with its full thread budget (a large query
 ///    saturates the machine by itself).
@@ -49,9 +50,10 @@ namespace pandora::serve {
 /// How one job of a batch ended (see BatchExecutor::run_jobs).
 enum class JobOutcome : std::uint8_t {
   ok,         ///< ran to completion
-  cancelled,  ///< started, then unwound with pandora::Cancelled (deadline,
-              ///< batch budget, or the caller's token)
-  shed,       ///< never started: rejected at admission by the QoS policy
+  cancelled,  ///< started, then unwound with pandora::Cancelled (its deadline
+              ///< or its caller's token fired mid-run)
+  shed,       ///< never started: its token had already fired, or adaptive
+              ///< shedding predicted it would blow the tail latency
   failed,     ///< started, then threw something other than Cancelled
 };
 
@@ -64,60 +66,6 @@ struct JobResult {
   double seconds = 0.0;
 };
 
-/// Admission control and load shedding for a batch (all knobs off by
-/// default — a default QosPolicy admits everything and never cancels).
-///
-/// "Pressure" is the number of *other* jobs of the batch not yet settled at
-/// the moment a job is picked up: with `pressure_threshold = 0`, a batch of
-/// two jobs is already under pressure while both are pending, and the last
-/// remaining job never is — so shedding drains with the queue, it does not
-/// starve.
-struct QosPolicy {
-  /// Wall budget for the whole batch, measured from run_jobs entry (0 =
-  /// unlimited).  Jobs still running when it expires unwind with
-  /// `Cancelled`; jobs not yet started are shed.
-  std::chrono::nanoseconds batch_budget{0};
-
-  /// Default per-job deadline, measured from the job's own start (0 = none).
-  /// A job's explicit `Job::deadline` takes precedence.
-  std::chrono::nanoseconds job_deadline{0};
-
-  /// Shed jobs whose `size_hint` exceeds this while the batch is under
-  /// pressure (0 = never shed by size).  Large queries monopolise the
-  /// parent executor; under load, dropping one large query frees the whole
-  /// machine for many small ones.
-  size_type shed_above = 0;
-
-  /// Pending-job count above which the batch counts as "under pressure"
-  /// (see the class comment on how pressure is measured).
-  std::size_t pressure_threshold = 0;
-
-  /// Learn the shedding decision from observed latencies instead of the
-  /// static `shed_above` / `pressure_threshold` knobs.  The executor keeps
-  /// a log2 latency histogram of completed jobs plus a running
-  /// size-hint-to-seconds rate (both survive across batches); once
-  /// `adaptive_min_samples` jobs have completed ok, a job picked up while
-  /// more other jobs are pending than there are slots is shed when its
-  /// predicted run time (size_hint x observed seconds-per-unit) exceeds
-  /// `adaptive_headroom` x the rolling p99 of completed-job latency — i.e.
-  /// both thresholds are derived online, none of the static knobs need
-  /// tuning.  Composes with the static knobs: either can shed a job.
-  bool adaptive = false;
-
-  /// Headroom multiplier on the rolling p99 before a predicted-slow job is
-  /// shed (> 1 sheds less eagerly).  Only meaningful with `adaptive`.
-  double adaptive_headroom = 1.0;
-
-  /// Completed-job samples required before adaptive shedding activates (a
-  /// cold server admits everything while it learns).
-  std::size_t adaptive_min_samples = 16;
-
-  /// Under pressure, give up phase overlap so the small queries drain on
-  /// the slots *before* the calling thread starts the large ones — large
-  /// queries are deprioritised instead of shed.
-  bool deprioritise_large_under_pressure = false;
-};
-
 struct BatchOptions {
   /// Queries whose size hint (edges for dendrogram queries, points for
   /// HDBSCAN queries) is at most this are "small" and are packed onto the
@@ -127,29 +75,16 @@ struct BatchOptions {
   /// intra-query parallelism buys, so query-level packing wins.
   size_type small_query_threshold = 16 * exec::kParallelForGrain;
 
-  /// Concurrent slots for small queries; 0 = the parent's thread budget.
-  int num_slots = 0;
-
-  /// Overlap the two scheduler phases: the calling thread starts draining
-  /// the large queries on the parent executor while the slot workers are
-  /// still pulling from the small queue, instead of waiting for the small
-  /// phase to finish first.  On imbalanced batches this hides one phase
-  /// behind the other entirely; the cost is transient thread
-  /// oversubscription (the parent's OpenMP team plus the slot workers,
-  /// bounded by 2x the budget).  Safe because large jobs mutate only the
-  /// parent executor and small jobs only their slot; the shared
-  /// ArtifactCache locks internally.
-  bool overlap_phases = true;
-
-  /// Per-tenant cap on shared-ArtifactCache slots (0 = unlimited).  Jobs
-  /// carry a tenant tag (`Job::tenant`); with a cap set, a tenant at its cap
-  /// displaces its own least-recently-used entry on insert, so one tenant's
-  /// parameter sweep cannot evict another tenant's hot kd-tree.  Applied to
-  /// the parent's cache at construction (see ArtifactCache::set_tenant_quota).
-  std::size_t max_cache_slots_per_tenant = 0;
-
-  /// Admission control / load shedding (off by default).
-  QosPolicy qos;
+  /// Shed jobs predicted to blow the tail latency.  The executor keeps a
+  /// log2 latency histogram of completed jobs plus a running
+  /// size-hint-to-seconds rate (both survive across batches).  Once
+  /// `kAdaptiveMinSamples` jobs have completed ok, a job picked up while
+  /// more other jobs of its batch are pending than there are slots is shed
+  /// when its predicted run time (size_hint x observed seconds-per-unit)
+  /// exceeds the rolling p99 of completed-job latency.  Both thresholds are
+  /// derived online; nothing needs tuning.  A cold executor admits
+  /// everything while it learns.
+  bool adaptive_shedding = false;
 };
 
 class BatchExecutor {
@@ -158,6 +93,9 @@ class BatchExecutor {
   BatchExecutor(BatchExecutor&&) = default;
   BatchExecutor& operator=(BatchExecutor&&) = delete;
 
+  /// Completed-ok jobs adaptive shedding waits for before it sheds anything.
+  static constexpr std::size_t kAdaptiveMinSamples = 16;
+
   /// A unit of batched work.  `run` receives the executor the scheduler
   /// assigned (a serial slot executor for small jobs, the parent for large
   /// ones) and must confine all mutation to that executor and to state no
@@ -165,32 +103,29 @@ class BatchExecutor {
   struct Job {
     std::function<void(const exec::Executor&)> run;
     size_type size_hint = 0;
-    /// Cache-quota accounting tag (0 = untagged); see
-    /// BatchOptions::max_cache_slots_per_tenant.  Installed as the assigned
-    /// executor's cache owner for the job's duration.
-    std::uint64_t tenant = 0;
-    /// Per-job deadline, measured from the job's start (0 = use the batch
-    /// policy's `QosPolicy::job_deadline`, or none).
+    /// Per-job deadline, measured from the job's start (0 = none).
     std::chrono::nanoseconds deadline{0};
-    /// Caller-owned cancellation token observed while the job runs (nullptr
-    /// = none).  Must outlive the batch call.
+    /// Caller-owned cancellation token (nullptr = none); must outlive the
+    /// batch call.  A job whose token has already fired when it is picked
+    /// up is shed; one that fires mid-run cancels the job.  A batch budget
+    /// is one `CancellationToken::after(budget)` shared by all the jobs.
     const exec::CancellationToken* cancellation = nullptr;
   };
 
-  /// Runs every job to completion under the configured `QosPolicy` — the one
-  /// way to submit work.  Small jobs execute concurrently: worker
-  /// threads (one per slot) pull them from a shared queue, so slots stay
-  /// busy regardless of how job costs vary.  Large jobs execute on the
-  /// calling thread against the parent executor, one at a time —
-  /// overlapping the small drain by default (BatchOptions::overlap_phases).
+  /// Runs every job to completion — the one way to submit work.  Small jobs
+  /// execute concurrently: worker threads (one per slot) pull them from a
+  /// shared queue, so slots stay busy regardless of how job costs vary.
+  /// Large jobs execute on the calling thread against the parent executor,
+  /// one at a time, overlapping the small drain.
   ///
   /// Reports a structured outcome per job (index-aligned with `jobs`)
   /// instead of first-exception-wins: `ok` jobs completed, `cancelled` jobs
   /// unwound with `pandora::Cancelled` (their partial work discarded, their
-  /// slot arena intact), `shed` jobs were rejected at admission — batch
-  /// budget already spent, or oversized under pressure — and `failed` jobs
-  /// threw.  One poisoned / slow / oversized query can therefore never abort
-  /// its batchmates *or* hide their results.  Never throws for job failures.
+  /// slot arena intact), `shed` jobs were rejected at admission — their
+  /// token had already fired, or adaptive shedding predicted them slow —
+  /// and `failed` jobs threw.  One poisoned / slow / oversized query can
+  /// therefore never abort its batchmates *or* hide their results.  Never
+  /// throws for job failures.
   [[nodiscard]] std::vector<JobResult> run_jobs(std::span<Job> jobs);
 
   [[nodiscard]] const exec::Executor& parent() const noexcept { return *parent_; }
@@ -201,9 +136,10 @@ class BatchExecutor {
   [[nodiscard]] const BatchOptions& options() const noexcept { return options_; }
 
  private:
-  /// Rolling latency model behind `QosPolicy::adaptive`, heap-held like the
-  /// batch mutex so the executor stays movable.  Completing ok jobs write it
-  /// (relaxed atomics, from any worker); admission reads it.
+  /// Rolling latency model behind `BatchOptions::adaptive_shedding`,
+  /// heap-held like the batch mutex so the executor stays movable.
+  /// Completing ok jobs write it (relaxed atomics, from any worker);
+  /// admission reads it.
   struct AdaptiveState {
     obs::Histogram latency;                    ///< completed-job run time
     std::atomic<std::uint64_t> total_size{0};  ///< sum of completed size hints

@@ -10,6 +10,9 @@ namespace pandora::snapshot {
 
 namespace {
 
+/// Nominal slot count of the serving cache (see the class comment).
+constexpr std::size_t kServingCacheSlots = 64;
+
 obs::Counter& publishes_metric() {
   static obs::Counter& metric = obs::registry().counter("pandora_snapshot_publishes_total");
   return metric;
@@ -23,9 +26,8 @@ obs::Histogram& publish_latency_metric() {
 
 }  // namespace
 
-PublishedClustering::PublishedClustering(const exec::Executor& writer, PublishedOptions options)
-    : cache_(std::make_shared<exec::ArtifactCache>(options.cache_slots)),
-      stream_(writer, options.dynamic) {
+PublishedClustering::PublishedClustering(const exec::Executor& writer)
+    : cache_(std::make_shared<exec::ArtifactCache>(kServingCacheSlots)), stream_(writer) {
   publish();  // readers may acquire before the first insert (empty snapshot)
 }
 

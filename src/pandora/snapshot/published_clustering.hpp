@@ -14,18 +14,6 @@
 
 namespace pandora::snapshot {
 
-struct PublishedOptions {
-  /// Options of the owned `dyn::DynamicClustering` writer side.
-  dyn::DynamicOptions dynamic;
-
-  /// Nominal slot count of the serving cache shared by every reader of every
-  /// snapshot of this stream.  The cache grows past it only while pinned
-  /// snapshots need the room, and shrinks back as they retire — so the
-  /// steady-state footprint is the nominal slots plus whatever the live
-  /// epochs (at most 1 + max-in-flight-readers of them) have cached.
-  std::size_t cache_slots = 64;
-};
-
 /// The front door of the serving tier: one writer, any number of readers,
 /// and the guarantee that **writers never block readers**.
 ///
@@ -53,13 +41,19 @@ struct PublishedOptions {
 /// reclaimed when its last reader drains (RCU-style).  Memory cost: at most
 /// `1 + max-in-flight-readers` epochs resident.
 ///
+/// **Serving cache.**  Every reader of every snapshot of this stream shares
+/// one cache of 64 nominal slots.  It grows past them only while pinned
+/// snapshots need the room, and shrinks back as they retire — so the
+/// steady-state footprint is the nominal slots plus whatever the live epochs
+/// have cached.
+///
 /// Thread-safety: one writer thread at a time (like `dyn::`); `acquire` /
 /// `published_epoch` are safe from any thread concurrently with the writer.
 /// The writer's executor must not be used by readers (give each reader its
 /// own).
 class PublishedClustering {
  public:
-  explicit PublishedClustering(const exec::Executor& writer, PublishedOptions options = {});
+  explicit PublishedClustering(const exec::Executor& writer);
   PublishedClustering(const PublishedClustering&) = delete;
   PublishedClustering& operator=(const PublishedClustering&) = delete;
 

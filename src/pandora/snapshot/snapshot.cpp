@@ -27,18 +27,15 @@ obs::Counter& epochs_reclaimed_metric() {
 
 /// Installs the reader context on a reader's executor for the duration of
 /// one query: the serving cache (so every reader shares one artifact pool)
-/// and the snapshot's pin group as cache owner (so everything the query
-/// inserts is pinned until the snapshot retires).  The reader's tenant tag
-/// is preserved — quota accounting composes with pinned reads.  Previous
-/// state is restored on exit, so a reader executor can serve interleaved
-/// snapshot and non-snapshot work.
+/// and the snapshot's pin group (so everything the query inserts is pinned
+/// until the snapshot retires).  Previous state is restored on exit, so a
+/// reader executor can serve interleaved snapshot and non-snapshot work.
 class Snapshot::ReaderScope {
  public:
   ReaderScope(const exec::Executor& exec, const Snapshot& snapshot)
       : exec_(exec),
         saved_cache_(exec.shared_artifact_cache()),
-        owner_guard_(exec, exec::ArtifactCache::Owner{snapshot.fingerprint(),
-                                                      exec.cache_owner().tenant}) {
+        pin_guard_(exec, snapshot.fingerprint()) {
     if (snapshot.cache_ != nullptr) exec.use_shared_artifact_cache(snapshot.cache_.get());
   }
   ReaderScope(const ReaderScope&) = delete;
@@ -48,7 +45,7 @@ class Snapshot::ReaderScope {
  private:
   const exec::Executor& exec_;
   exec::ArtifactCache* saved_cache_;
-  exec::ScopedCacheOwner owner_guard_;
+  exec::ScopedPinGroup pin_guard_;
 };
 
 Snapshot::Snapshot(std::shared_ptr<exec::ArtifactCache> cache, dyn::ArtifactBundle bundle)
@@ -75,11 +72,15 @@ Snapshot::~Snapshot() {
 
 std::shared_ptr<const spatial::KdTree> Snapshot::tree(const exec::Executor& exec) const {
   PANDORA_EXPECT(size() > 0, "snapshot holds no points");
-  std::call_once(tree_once_, [&] {
+  // Held across the build so concurrent first readers wait for one build.
+  // A build that throws (a reader's deadline fired mid-build) leaves
+  // `tree_` empty, and the next reader retries it.
+  const std::lock_guard<std::mutex> lock(tree_mutex_);
+  if (tree_ == nullptr) {
     const ReaderScope scope(exec, *this);
     tree_ = spatial::kdtree_cached(exec, *bundle_.points, /*leaf_size=*/32,
                                    bundle_.fingerprint);
-  });
+  }
   return tree_;
 }
 

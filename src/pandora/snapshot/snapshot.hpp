@@ -77,8 +77,9 @@ class Snapshot {
 
   /// The kd-tree over the snapshot's points, built lazily by the first
   /// reader that needs it (concurrent first readers block on one build
-  /// rather than racing N redundant ones) and pinned in the serving cache
-  /// for the snapshot's lifetime.
+  /// rather than racing N redundant ones; a build that throws is retried by
+  /// the next reader) and pinned in the serving cache for the snapshot's
+  /// lifetime.
   [[nodiscard]] std::shared_ptr<const spatial::KdTree> tree(const exec::Executor& exec) const;
 
   /// Full HDBSCAN* against the pinned epoch.  Bit-identical to a cold
@@ -115,7 +116,7 @@ class Snapshot {
 
   std::shared_ptr<exec::ArtifactCache> cache_;
   dyn::ArtifactBundle bundle_;
-  mutable std::once_flag tree_once_;
+  mutable std::mutex tree_mutex_;  ///< guards the lazy build of tree_
   mutable std::shared_ptr<const spatial::KdTree> tree_;
 };
 

@@ -13,11 +13,11 @@ std::vector<Neighbor> brute_force_knn(const PointSet& points, index_t q, int k) 
   const index_t n = points.size();
   // One batched pass per dimension-blocked SoA block — this reference
   // implementation exercises the same kernels the kd-tree leaf scans use.
-  const std::shared_ptr<const SoaStore> soa = points.soa();
+  const SoaStore soa(points.coords().data(), n, points.dim());
   const double* query = points.point(q).data();
   std::vector<double> sq(static_cast<std::size_t>(n));
-  for (index_t b = 0; b < soa->num_blocks(); ++b)
-    distance::batch_squared_distances(query, soa->block(b), points.dim(), soa->block_size(b),
+  for (index_t b = 0; b < soa.num_blocks(); ++b)
+    distance::batch_squared_distances(query, soa.block(b), points.dim(), soa.block_size(b),
                                       SoaStore::kLane, sq.data() + b * SoaStore::kLane);
   std::vector<Neighbor> all;
   all.reserve(static_cast<std::size_t>(n) - 1);

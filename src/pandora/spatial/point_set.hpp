@@ -2,12 +2,9 @@
 
 #include <cmath>
 #include <cstring>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "pandora/common/types.hpp"
@@ -83,38 +80,14 @@ class SoaStore {
 /// runtime value here, with the distance kernels specialised over small dims
 /// where it matters (spatial/distance.hpp).
 ///
-/// Storage: the row-major vector stays the authoritative, mutable store (the
-/// dyn:: append/compact paths and the generators write it in place), and a
-/// dimension-blocked SoA mirror (`soa()`) is materialized lazily for the
-/// batch distance kernels.  Any non-const access invalidates the mirror;
-/// the next `soa()` rebuilds it.  Holding a mutable reference from `at()` /
-/// `coords()` across a `soa()` call and writing through it afterwards is
-/// not supported (mutate first, read SoA after — every in-tree caller does).
+/// Storage: one row-major coordinate vector, written in place by the dyn::
+/// append/compact paths and the generators.  A batch kernel that wants the
+/// dimension-blocked layout builds a `SoaStore` from `coords()`.
 class PointSet {
  public:
   PointSet() = default;
   PointSet(int dim, index_t count)
       : dim_(dim), coords_(static_cast<std::size_t>(count) * static_cast<std::size_t>(dim)) {}
-
-  // The SoA mirror is identity-independent derived state: copies share or
-  // lazily rebuild it, they never write through it.
-  PointSet(const PointSet& other) : dim_(other.dim_), coords_(other.coords_) {}
-  PointSet(PointSet&& other) noexcept
-      : dim_(other.dim_), coords_(std::move(other.coords_)) {}
-  PointSet& operator=(const PointSet& other) {
-    if (this != &other) {
-      dim_ = other.dim_;
-      coords_ = other.coords_;
-      invalidate_soa();
-    }
-    return *this;
-  }
-  PointSet& operator=(PointSet&& other) noexcept {
-    dim_ = other.dim_;
-    coords_ = std::move(other.coords_);
-    invalidate_soa();
-    return *this;
-  }
 
   [[nodiscard]] int dim() const { return dim_; }
   [[nodiscard]] index_t size() const {
@@ -122,7 +95,6 @@ class PointSet {
   }
 
   [[nodiscard]] double& at(index_t point, int d) {
-    invalidate_soa();
     return coords_[static_cast<std::size_t>(point) * static_cast<std::size_t>(dim_) +
                    static_cast<std::size_t>(d)];
   }
@@ -137,20 +109,7 @@ class PointSet {
   }
 
   [[nodiscard]] const std::vector<double>& coords() const { return coords_; }
-  [[nodiscard]] std::vector<double>& coords() {
-    invalidate_soa();
-    return coords_;
-  }
-
-  /// The dimension-blocked SoA mirror of the current coordinates, built on
-  /// first use after any mutation and shared (immutable) thereafter — safe
-  /// to call from concurrent readers of a const PointSet.
-  [[nodiscard]] std::shared_ptr<const SoaStore> soa() const {
-    const std::scoped_lock lock(soa_mutex_);
-    if (soa_ == nullptr)
-      soa_ = std::make_shared<const SoaStore>(coords_.data(), size(), dim_);
-    return soa_;
-  }
+  [[nodiscard]] std::vector<double>& coords() { return coords_; }
 
   /// Squared Euclidean distance from raw query coordinates to point j (the
   /// kernel behind coordinate-based kd-tree queries on points outside the
@@ -173,15 +132,8 @@ class PointSet {
   }
 
  private:
-  void invalidate_soa() {
-    const std::scoped_lock lock(soa_mutex_);
-    soa_.reset();
-  }
-
   int dim_ = 0;
   std::vector<double> coords_;
-  mutable std::mutex soa_mutex_;
-  mutable std::shared_ptr<const SoaStore> soa_;
 };
 
 /// Front-door input validation: every coordinate must be finite (no NaN/Inf —

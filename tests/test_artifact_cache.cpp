@@ -152,8 +152,8 @@ TEST(ArtifactCache, StatsCountHitsMissesEvictionsButNotInPlaceReplacement) {
 TEST(ArtifactCache, PinnedGroupSurvivesFloodByOverflowAndPurgeReclaims) {
   ArtifactCache cache(/*slots=*/2);
   cache.pin(/*group=*/7);
-  cache.insert<Tagged>(10, std::make_shared<Tagged>(Tagged{10}), {.pin_group = 7});
-  cache.insert<Tagged>(11, std::make_shared<Tagged>(Tagged{11}), {.pin_group = 7});
+  cache.insert<Tagged>(10, std::make_shared<Tagged>(Tagged{10}), /*pin_group=*/7);
+  cache.insert<Tagged>(11, std::make_shared<Tagged>(Tagged{11}), /*pin_group=*/7);
   EXPECT_EQ(cache.stats().pinned_slots, 2u);
 
   // Every nominal slot is pinned: a flood of colder inserts grows overflow
@@ -176,8 +176,8 @@ TEST(ArtifactCache, PinnedGroupSurvivesFloodByOverflowAndPurgeReclaims) {
 TEST(ArtifactCache, UnpinnedGroupEntriesRejoinLruOrder) {
   ArtifactCache cache(/*slots=*/2);
   cache.pin(3);
-  cache.insert<Tagged>(30, std::make_shared<Tagged>(Tagged{30}), {.pin_group = 3});
-  cache.insert<Tagged>(31, std::make_shared<Tagged>(Tagged{31}), {.pin_group = 3});
+  cache.insert<Tagged>(30, std::make_shared<Tagged>(Tagged{30}), /*pin_group=*/3);
+  cache.insert<Tagged>(31, std::make_shared<Tagged>(Tagged{31}), /*pin_group=*/3);
   cache.unpin(3);
   EXPECT_EQ(cache.stats().pinned_slots, 0u);
   cache.insert<Tagged>(32, std::make_shared<Tagged>(Tagged{32}));
@@ -186,45 +186,19 @@ TEST(ArtifactCache, UnpinnedGroupEntriesRejoinLruOrder) {
   EXPECT_EQ(cache.num_slots(), 2u) << "no overflow growth once nothing is pinned";
 }
 
-TEST(ArtifactCache, TenantOverQuotaDisplacesOnlyItsOwnEntries) {
-  ArtifactCache cache(/*slots=*/8);
-  cache.set_tenant_quota(2);
-
-  cache.insert<Tagged>(1, std::make_shared<Tagged>(Tagged{1}), {.tenant = 1});
-  cache.insert<Tagged>(2, std::make_shared<Tagged>(Tagged{2}), {.tenant = 1});
-  cache.insert<Tagged>(3, std::make_shared<Tagged>(Tagged{3}), {.tenant = 2});
-  EXPECT_NE(cache.find<Tagged>(1), nullptr);  // tenant 1's LRU is now key 2
-
-  // Tenant 1 is at its cap: the insert displaces tenant 1's own LRU entry —
-  // even though five slots are still empty and tenant 2's entry is colder.
-  cache.insert<Tagged>(4, std::make_shared<Tagged>(Tagged{4}), {.tenant = 1});
-  EXPECT_EQ(cache.find<Tagged>(2), nullptr) << "the tenant pays with its own LRU entry";
-  EXPECT_NE(cache.find<Tagged>(1), nullptr);
-  EXPECT_NE(cache.find<Tagged>(4), nullptr);
-  EXPECT_NE(cache.find<Tagged>(3), nullptr) << "another tenant's entry is untouchable";
-
-  // Untagged inserts (tenant 0) are never capped.
-  for (std::uint64_t key = 100; key < 104; ++key) {
-    cache.insert<Tagged>(key, std::make_shared<Tagged>(Tagged{key}));
-  }
-  EXPECT_NE(cache.find<Tagged>(3), nullptr);
-}
-
-TEST(Executor, ScopedCacheOwnerInstallsAndRestores) {
+TEST(Executor, ScopedPinGroupInstallsAndRestores) {
   const exec::Executor exec(exec::serial_backend());
-  EXPECT_EQ(exec.cache_owner().pin_group, 0u);
-  EXPECT_EQ(exec.cache_owner().tenant, 0u);
+  EXPECT_EQ(exec.cache_pin_group(), 0u);
   {
-    const exec::ScopedCacheOwner outer(exec, {.pin_group = 9, .tenant = 4});
-    EXPECT_EQ(exec.cache_owner().pin_group, 9u);
-    EXPECT_EQ(exec.cache_owner().tenant, 4u);
+    const exec::ScopedPinGroup outer(exec, 9);
+    EXPECT_EQ(exec.cache_pin_group(), 9u);
     {
-      const exec::ScopedCacheOwner inner(exec, {.pin_group = 0, .tenant = 4});
-      EXPECT_EQ(exec.cache_owner().pin_group, 0u);
+      const exec::ScopedPinGroup inner(exec, 0);
+      EXPECT_EQ(exec.cache_pin_group(), 0u);
     }
-    EXPECT_EQ(exec.cache_owner().pin_group, 9u) << "nested scopes restore outward";
+    EXPECT_EQ(exec.cache_pin_group(), 9u) << "nested scopes restore outward";
   }
-  EXPECT_EQ(exec.cache_owner().tenant, 0u);
+  EXPECT_EQ(exec.cache_pin_group(), 0u);
 }
 
 TEST(Executor, SharedArtifactCacheInstallAndRestore) {
@@ -287,9 +261,9 @@ TEST(CachedArtifact, CachingOffBuildsWithoutKeyOrInsert) {
       << "nothing was inserted";
 }
 
-TEST(CachedArtifact, MissBuildsOnceAndInsertsUnderTheExecutorsOwner) {
+TEST(CachedArtifact, MissBuildsOnceAndInsertsUnderTheExecutorsPinGroup) {
   const exec::Executor executor(exec::serial_backend());
-  const exec::ScopedCacheOwner owner(executor, {.pin_group = 5, .tenant = 3});
+  const exec::ScopedPinGroup group(executor, 5);
   SeamProbe probe;
   const auto built = probe.get(executor);
   EXPECT_EQ(probe.keys, 1);
@@ -299,14 +273,8 @@ TEST(CachedArtifact, MissBuildsOnceAndInsertsUnderTheExecutorsOwner) {
   EXPECT_EQ(cache.find<Tagged>(probe.cache_key()), built)
       << "inserted under tagged_fingerprint(tag, base_key())";
   cache.pin(5);
-  EXPECT_EQ(cache.stats().pinned_slots, 1u) << "the entry belongs to the owner's pin group";
+  EXPECT_EQ(cache.stats().pinned_slots, 1u) << "the entry belongs to the executor's pin group";
   cache.unpin(5);
-  // At a quota of one slot, tenant 3's next insert displaces its own entry —
-  // which is the seam's only if the seam charged it to tenant 3.
-  cache.set_tenant_quota(1);
-  cache.insert<Tagged>(99, std::make_shared<Tagged>(Tagged{99}), {.pin_group = 0, .tenant = 3});
-  EXPECT_EQ(cache.find<Tagged>(probe.cache_key()), nullptr)
-      << "the entry was charged to the owner's tenant";
 }
 
 TEST(CachedArtifact, HitServesTheEntryWithoutBuilding) {

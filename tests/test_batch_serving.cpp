@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdint>
 #include <stdexcept>
 #include <thread>
 
@@ -44,7 +43,7 @@ void build_batch(serve::BatchExecutor& batch, const std::vector<graph::EdgeList>
 
 TEST(BatchExecutor, BatchedDendrogramsMatchSequential) {
   const exec::Executor parent(exec::default_backend(), 4);
-  serve::BatchExecutor batch(parent, {.num_slots = 4});
+  serve::BatchExecutor batch(parent);
 
   // Mixed sizes straddling the small/large threshold, so both phases of the
   // scheduler run.
@@ -103,7 +102,7 @@ TEST(BatchExecutor, BatchedHdbscanMatchesSequential) {
 
 TEST(BatchExecutor, SlotArenasReachSteadyState) {
   const exec::Executor parent(exec::default_backend(), 4);
-  serve::BatchExecutor batch(parent, {.num_slots = 4});
+  serve::BatchExecutor batch(parent);
   // Caching off so every batch re-sorts through the slot arenas (with it on,
   // the second batch would hit the SortedEdges cache and lease nothing).
   parent.set_artifact_caching(false);
@@ -140,7 +139,7 @@ TEST(BatchExecutor, SlotArenasReachSteadyState) {
 
 TEST(BatchExecutor, SlotsShareTheParentArtifactCache) {
   const exec::Executor parent(exec::default_backend(), 4);
-  serve::BatchExecutor batch(parent, {.num_slots = 4});
+  serve::BatchExecutor batch(parent);
 
   const graph::EdgeList tree = make_tree(Topology::random_attach, 3000, 42, 0);
   // Warm the parent cache, then batch N identical queries: every slot must
@@ -159,36 +158,11 @@ TEST(BatchExecutor, SlotsShareTheParentArtifactCache) {
   for (const auto& d : results) EXPECT_EQ(d.parent, results[0].parent);
 }
 
-TEST(BatchExecutor, OverlappedAndSequentialPhasesAgree) {
-  // Same mixed batch with the large-drain overlap on (default) and off:
-  // identical results, and with overlap the large jobs must be able to run
-  // while small jobs are still in flight (observed via a latch the small
-  // jobs only release after a large job ran).
-  const exec::Executor parent(exec::default_backend(), 4);
-  std::vector<graph::EdgeList> trees;
-  std::vector<index_t> sizes = {600, 30000, 900, 700, 30000, 1100};
-  for (std::size_t i = 0; i < sizes.size(); ++i)
-    trees.push_back(make_tree(Topology::random_attach, sizes[i], 11 * i + 3, 0));
-
-  serve::BatchOptions overlapped_options;
-  overlapped_options.num_slots = 2;
-  overlapped_options.small_query_threshold = 2000;
-  serve::BatchOptions sequential_options = overlapped_options;
-  sequential_options.overlap_phases = false;
-
-  serve::BatchExecutor overlapped(parent, overlapped_options);
-  serve::BatchExecutor sequential(parent, sequential_options);
-  std::vector<dendrogram::Dendrogram> via_overlap, via_sequence;
-  build_batch(overlapped, trees, sizes, via_overlap);
-  build_batch(sequential, trees, sizes, via_sequence);
-  ASSERT_EQ(via_overlap.size(), via_sequence.size());
-  for (std::size_t i = 0; i < via_overlap.size(); ++i) {
-    EXPECT_EQ(via_overlap[i].parent, via_sequence[i].parent) << "query " << i;
-    EXPECT_EQ(via_overlap[i].weight, via_sequence[i].weight) << "query " << i;
-  }
-
-  // Concurrency witness: a small job blocks until the large phase has
-  // started — only the overlapped scheduler can finish this batch.
+TEST(BatchExecutor, LargeJobsOverlapTheSmallDrain) {
+  // Concurrency witness: a small job blocks until a large job has started,
+  // so only a scheduler that drains the large queue while small jobs are
+  // still in flight can finish this batch.
+  const exec::Executor parent(exec::default_backend(), 2);
   std::atomic<bool> large_started{false};
   std::vector<serve::BatchExecutor::Job> jobs;
   jobs.push_back({[&](const exec::Executor&) {
@@ -197,7 +171,7 @@ TEST(BatchExecutor, OverlappedAndSequentialPhasesAgree) {
                   /*size_hint=*/16});
   jobs.push_back({[&](const exec::Executor&) { large_started.store(true); },
                   /*size_hint=*/100000});
-  serve::BatchExecutor witness(parent, overlapped_options);
+  serve::BatchExecutor witness(parent, {.small_query_threshold = 2000});
   for (const serve::JobResult& result : witness.run_jobs(jobs))  // deadlocks without overlap
     EXPECT_EQ(result.outcome, serve::JobOutcome::ok);
   EXPECT_TRUE(large_started.load());
@@ -205,7 +179,7 @@ TEST(BatchExecutor, OverlappedAndSequentialPhasesAgree) {
 
 TEST(BatchExecutor, ExceptionsAreIsolatedPerJob) {
   const exec::Executor parent(exec::default_backend(), 2);
-  serve::BatchExecutor batch(parent, {.num_slots = 2});
+  serve::BatchExecutor batch(parent);
 
   std::atomic<int> completed{0};
   std::vector<serve::BatchExecutor::Job> jobs;
@@ -223,46 +197,6 @@ TEST(BatchExecutor, ExceptionsAreIsolatedPerJob) {
         << "job " << i;
   }
   EXPECT_THROW(std::rethrow_exception(results[2].error), std::runtime_error);
-}
-
-TEST(BatchExecutor, TenantQuotaConfinesEvictionToTheOffendingTenant) {
-  const exec::Executor parent(exec::default_backend(), 2);
-  serve::BatchExecutor batch(parent, {.num_slots = 2, .max_cache_slots_per_tenant = 2});
-  ASSERT_EQ(parent.artifact_cache().tenant_quota(), 2u);
-
-  // Artifacts land in the shared cache under the owner tag the scheduler
-  // installed for the job (Job::tenant -> Executor::cache_owner).
-  struct Artifact {
-    std::uint64_t key;
-  };
-  auto insert_artifact = [](const exec::Executor& exec, std::uint64_t key) {
-    exec.artifact_cache().insert(key, std::make_shared<Artifact>(Artifact{key}),
-                                 exec.cache_owner());
-  };
-
-  std::vector<serve::BatchExecutor::Job> jobs;
-  // Tenant 1 sweeps past its quota (three inserts, cap two) in one job, so
-  // the insert order — and with it which entry is the tenant's LRU — is
-  // deterministic regardless of job scheduling.
-  jobs.push_back({[&](const exec::Executor& exec) {
-                    EXPECT_EQ(exec.cache_owner().tenant, 1u);
-                    insert_artifact(exec, 1);
-                    insert_artifact(exec, 2);
-                    insert_artifact(exec, 3);
-                  },
-                  /*size_hint=*/16, /*tenant=*/1});
-  jobs.push_back({[&](const exec::Executor& exec) { insert_artifact(exec, 10); },
-                  /*size_hint=*/16, /*tenant=*/2});
-  for (const serve::JobResult& result : batch.run_jobs(jobs))
-    ASSERT_EQ(result.outcome, serve::JobOutcome::ok);
-
-  // The quota-exceeding tenant displaced its own LRU entry; the sibling
-  // tenant's artifact — and the cache's plentiful empty slots — are intact.
-  exec::ArtifactCache& cache = parent.artifact_cache();
-  EXPECT_EQ(cache.find<Artifact>(1), nullptr) << "tenant 1 paid with its own LRU entry";
-  EXPECT_NE(cache.find<Artifact>(2), nullptr);
-  EXPECT_NE(cache.find<Artifact>(3), nullptr);
-  EXPECT_NE(cache.find<Artifact>(10), nullptr) << "tenant 2 is unaffected";
 }
 
 TEST(BatchExecutor, PipelineBatchFrontDoor) {

@@ -9,8 +9,7 @@
 //  * the bounded pair kernel is exact at-or-under its bound (ties run to
 //    completion, preserving index tie-breaking) and only over-reports when
 //    already discarded;
-//  * SoaStore hands out 64-byte-aligned, zero-padded dimension-major blocks
-//    and the PointSet mirror invalidates on mutable access;
+//  * SoaStore hands out 64-byte-aligned, zero-padded dimension-major blocks;
 //  * KdTree::knn (indexed and coordinate queries) returns the pair kernel's
 //    bits and index order through its SoA leaf scans, and a warm probe
 //    performs zero heap allocations.
@@ -193,46 +192,31 @@ TEST(SoaStore, AlignmentLayoutAndZeroPadding) {
     for (int d = 0; d < dim; ++d)
       points.at(p, d) = static_cast<double>(p * 10 + d) + 0.25;
 
-  const std::shared_ptr<const spatial::SoaStore> soa = points.soa();
-  ASSERT_EQ(soa->size(), n);
-  ASSERT_EQ(soa->dim(), dim);
-  ASSERT_EQ(soa->num_blocks(), 2);
-  EXPECT_EQ(soa->block_size(0), spatial::SoaStore::kLane);
-  EXPECT_EQ(soa->block_size(1), n - spatial::SoaStore::kLane);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(soa->data()) % 64, 0u);
-  for (index_t b = 0; b < soa->num_blocks(); ++b)
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(soa->block(b)) % 64, 0u);
+  const spatial::SoaStore soa(points.coords().data(), n, dim);
+  ASSERT_EQ(soa.size(), n);
+  ASSERT_EQ(soa.dim(), dim);
+  ASSERT_EQ(soa.num_blocks(), 2);
+  EXPECT_EQ(soa.block_size(0), spatial::SoaStore::kLane);
+  EXPECT_EQ(soa.block_size(1), n - spatial::SoaStore::kLane);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(soa.data()) % 64, 0u);
+  for (index_t b = 0; b < soa.num_blocks(); ++b)
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(soa.block(b)) % 64, 0u);
 
   const spatial::PointSet& const_points = points;
   for (index_t p = 0; p < n; ++p) {
     const index_t b = p / spatial::SoaStore::kLane;
     const index_t lane = p % spatial::SoaStore::kLane;
     for (int d = 0; d < dim; ++d)
-      EXPECT_EQ(soa->block(b)[static_cast<std::size_t>(d) * spatial::SoaStore::kLane +
+      EXPECT_EQ(soa.block(b)[static_cast<std::size_t>(d) * spatial::SoaStore::kLane +
                               static_cast<std::size_t>(lane)],
                 const_points.at(p, d));
   }
   // Tail lanes of the last block are zero so kernels may safely load them.
-  for (index_t lane = soa->block_size(1); lane < spatial::SoaStore::kLane; ++lane)
+  for (index_t lane = soa.block_size(1); lane < spatial::SoaStore::kLane; ++lane)
     for (int d = 0; d < dim; ++d)
-      EXPECT_EQ(soa->block(1)[static_cast<std::size_t>(d) * spatial::SoaStore::kLane +
+      EXPECT_EQ(soa.block(1)[static_cast<std::size_t>(d) * spatial::SoaStore::kLane +
                               static_cast<std::size_t>(lane)],
                 0.0);
-}
-
-TEST(SoaStore, PointSetMirrorInvalidatesOnMutableAccess) {
-  spatial::PointSet points(2, 4);
-  for (index_t p = 0; p < 4; ++p)
-    for (int d = 0; d < 2; ++d) points.at(p, d) = static_cast<double>(p + d);
-
-  const auto first = points.soa();
-  EXPECT_EQ(points.soa().get(), first.get());  // cached while untouched
-  points.at(2, 1) = 99.5;                      // mutable access invalidates
-  const auto rebuilt = points.soa();
-  EXPECT_NE(rebuilt.get(), first.get());
-  EXPECT_EQ(rebuilt->block(0)[1 * spatial::SoaStore::kLane + 2], 99.5);
-  // The original mirror is immutable: old readers still see the old value.
-  EXPECT_EQ(first->block(0)[1 * spatial::SoaStore::kLane + 2], 3.0);
 }
 
 /// The k nearest of `points` to `query` under (distance, index), scored by

@@ -336,7 +336,7 @@ TEST(DynamicClustering, ServingWavesInterleaveQueriesAndUpdates) {
   published.insert(data::gaussian_blobs(300, 2, 3, 0.05, 0.1, 21));
 
   const exec::Executor parent(exec::default_backend(), 4);
-  serve::BatchExecutor batch = Pipeline::on(parent).batch({.num_slots = 4});
+  serve::BatchExecutor batch = Pipeline::on(parent).batch();
 
   constexpr int kWaves = 4;
   constexpr int kQueriesPerWave = 8;

@@ -1,12 +1,11 @@
 // Admission control and structured per-job outcomes in serve::BatchExecutor:
-// the QosPolicy knobs (batch budget, per-job deadlines, size-based shedding
-// under pressure, large-query deprioritisation) and the JobResult contract —
-// one slow / oversized / poisoned query never aborts or hides its
-// batchmates.
+// caller tokens (fired before pickup: shed; fired mid-run: cancelled), a
+// batch budget as one shared deadline token, per-job deadlines, adaptive
+// shedding, and the JobResult contract — one slow / oversized / poisoned
+// query never aborts or hides its batchmates.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
@@ -23,7 +22,6 @@ namespace {
 using namespace pandora;
 using namespace std::chrono_literals;
 using serve::BatchExecutor;
-using serve::BatchOptions;
 using serve::JobOutcome;
 using serve::JobResult;
 
@@ -51,11 +49,13 @@ TEST(ServeQos, DefaultPolicyRunsEverythingOk) {
 
 TEST(ServeQos, SpentBatchBudgetShedsUnstartedJobs) {
   const exec::Executor parent;
-  BatchOptions options;
-  options.qos.batch_budget = 1ns;  // spent before the first job is admitted
-  BatchExecutor batch(parent, options);
+  BatchExecutor batch(parent, {});
   const spatial::PointSet points = data::gaussian_blobs(400, 2, 3, 0.05, 0.1, 9);
+  // A batch budget is one deadline token shared by every job; this one is
+  // spent before the first job is picked up.
+  const exec::CancellationToken budget = exec::CancellationToken::after(1ns);
   std::vector<BatchExecutor::Job> jobs(3, hdbscan_job(points));
+  for (BatchExecutor::Job& job : jobs) job.cancellation = &budget;
   const std::vector<JobResult> results = batch.run_jobs(jobs);
   for (const JobResult& result : results) {
     EXPECT_EQ(result.outcome, JobOutcome::shed);
@@ -65,10 +65,8 @@ TEST(ServeQos, SpentBatchBudgetShedsUnstartedJobs) {
 }
 
 TEST(ServeQos, PerJobDeadlineCancelsThatJobOnly) {
-  const exec::Executor parent;
-  BatchOptions options;
-  options.num_slots = 1;  // deterministic admission order
-  BatchExecutor batch(parent, options);
+  const exec::Executor parent(exec::default_backend(), 1);  // one slot: admission in job order
+  BatchExecutor batch(parent, {});
   const spatial::PointSet points = data::gaussian_blobs(3000, 3, 4, 0.05, 0.1, 11);
   std::vector<BatchExecutor::Job> jobs;
   jobs.push_back(hdbscan_job(points));
@@ -82,18 +80,7 @@ TEST(ServeQos, PerJobDeadlineCancelsThatJobOnly) {
   EXPECT_EQ(results[1].outcome, JobOutcome::ok) << "the deadline is per-job, not per-batch";
 }
 
-TEST(ServeQos, PolicyDefaultDeadlineAppliesWhenJobHasNone) {
-  const exec::Executor parent;
-  BatchOptions options;
-  options.qos.job_deadline = 1ns;
-  BatchExecutor batch(parent, options);
-  const spatial::PointSet points = data::gaussian_blobs(3000, 3, 4, 0.05, 0.1, 13);
-  std::vector<BatchExecutor::Job> jobs(2, hdbscan_job(points));
-  const std::vector<JobResult> results = batch.run_jobs(jobs);
-  for (const JobResult& result : results) EXPECT_EQ(result.outcome, JobOutcome::cancelled);
-}
-
-TEST(ServeQos, CallerTokenCancelsItsJob) {
+TEST(ServeQos, CallerTokenFiredBeforePickupShedsItsJob) {
   const exec::Executor parent;
   BatchExecutor batch(parent, {});
   const spatial::PointSet points = data::gaussian_blobs(2000, 2, 3, 0.05, 0.1, 17);
@@ -104,61 +91,33 @@ TEST(ServeQos, CallerTokenCancelsItsJob) {
   jobs.back().cancellation = &token;
   jobs.push_back(hdbscan_job(points));
   const std::vector<JobResult> results = batch.run_jobs(jobs);
-  EXPECT_EQ(results[0].outcome, JobOutcome::cancelled);
-  EXPECT_EQ(results[1].outcome, JobOutcome::ok);
-}
-
-TEST(ServeQos, OversizedJobShedUnderPressureOnly) {
-  const exec::Executor parent;
-  BatchOptions options;
-  options.num_slots = 1;  // one worker drains the small queue in job order
-  options.qos.shed_above = 1000;
-  options.qos.pressure_threshold = 0;
-  BatchExecutor batch(parent, options);
-  const spatial::PointSet points = data::gaussian_blobs(300, 2, 3, 0.05, 0.1, 19);
-
-  // Job 0 is oversized and admitted while job 1 is still pending (pressure)
-  // -> shed.  Job 1 is then the last one standing (no pressure) -> runs.
-  std::vector<BatchExecutor::Job> jobs;
-  jobs.push_back(hdbscan_job(points, /*size_hint=*/5000));
-  jobs.push_back(hdbscan_job(points, /*size_hint=*/10));
-  const std::vector<JobResult> results = batch.run_jobs(jobs);
   EXPECT_EQ(results[0].outcome, JobOutcome::shed);
+  EXPECT_EQ(results[0].error, nullptr);
+  EXPECT_EQ(results[0].seconds, 0.0) << "a shed job never ran";
   EXPECT_EQ(results[1].outcome, JobOutcome::ok);
-
-  // The same oversized job alone (no pressure) is admitted normally.
-  std::vector<BatchExecutor::Job> alone;
-  alone.push_back(hdbscan_job(points, /*size_hint=*/5000));
-  EXPECT_EQ(batch.run_jobs(alone)[0].outcome, JobOutcome::ok);
 }
 
-TEST(ServeQos, DeprioritisedLargeJobRunsAfterSmallOnes) {
+TEST(ServeQos, CallerTokenFiredMidRunCancelsItsJob) {
   const exec::Executor parent;
-  BatchOptions options;
-  options.small_query_threshold = 100;
-  options.overlap_phases = true;  // deprioritisation must override overlap
-  options.qos.deprioritise_large_under_pressure = true;
-  options.qos.pressure_threshold = 0;
-  BatchExecutor batch(parent, options);
-
-  std::atomic<int> sequence{0};
-  std::vector<int> started_at(4, -1);
+  BatchExecutor batch(parent, {});
+  const spatial::PointSet points = data::gaussian_blobs(2000, 2, 3, 0.05, 0.1, 17);
+  exec::CancellationToken token;
   std::vector<BatchExecutor::Job> jobs;
-  for (int i = 0; i < 4; ++i) {
-    jobs.push_back(BatchExecutor::Job{
-        .run = [&, i](const exec::Executor&) {
-          started_at[static_cast<std::size_t>(i)] =
-              sequence.fetch_add(1, std::memory_order_relaxed);
-        },
-        // Job 0 is large (above the threshold), the rest are small.
-        .size_hint = i == 0 ? 1000 : 10,
-    });
-  }
+  jobs.push_back(BatchExecutor::Job{
+      .run =
+          [&](const exec::Executor& exec) {
+            token.cancel();  // the caller gives up once the job is running
+            (void)hdbscan::hdbscan(exec, points, {});
+          },
+      .size_hint = static_cast<size_type>(points.size()),
+      .cancellation = &token,
+  });
+  jobs.push_back(hdbscan_job(points));
   const std::vector<JobResult> results = batch.run_jobs(jobs);
-  for (const JobResult& result : results) EXPECT_EQ(result.outcome, JobOutcome::ok);
-  // Without overlap the small phase drains completely first: the large job
-  // holds the highest start sequence.
-  for (int i = 1; i < 4; ++i) EXPECT_LT(started_at[static_cast<std::size_t>(i)], started_at[0]);
+  EXPECT_EQ(results[0].outcome, JobOutcome::cancelled);
+  ASSERT_NE(results[0].error, nullptr);
+  EXPECT_THROW(std::rethrow_exception(results[0].error), Cancelled);
+  EXPECT_EQ(results[1].outcome, JobOutcome::ok);
 }
 
 TEST(ServeQos, FailedJobCapturesItsExceptionWithoutAbortingBatchmates) {
@@ -198,15 +157,14 @@ TEST(ServeQos, RunJobsReportsEveryFailureInJobOrder) {
   EXPECT_THROW(std::rethrow_exception(results[1].error), std::runtime_error);
 }
 
-TEST(ServeQos, AdaptivePolicyShedsSlowJobFloodThatStaticDefaultsAdmit) {
-  // The ROADMAP adaptive-shedding item as a test: a flood of jobs each
-  // predicted to run ~100x the observed p99 job latency.  The static knobs
-  // at their defaults (shed_above = 0: never shed by size) admit the whole
-  // flood; the adaptive policy — thresholds derived online from the latency
-  // histogram, nothing tuned — sheds most of it.  Outcomes are cross-checked
-  // against the obs:: registry's serve counters, so the test also proves the
-  // instrumentation counts what actually happened.
-  const exec::Executor parent;
+TEST(ServeQos, AdaptiveSheddingShedsSlowJobFloodThatDefaultsAdmit) {
+  // A flood of jobs each predicted to run ~100x the observed p99 job
+  // latency.  Default options admit the whole flood; adaptive shedding —
+  // thresholds derived online from the latency histogram, nothing tuned —
+  // sheds most of it.  Outcomes are cross-checked against the obs::
+  // registry's serve counters, so the test also proves the instrumentation
+  // counts what actually happened.
+  const exec::Executor parent(exec::default_backend(), 2);  // 2 slots: 12 pending jobs >> 2
   const auto sleep_job = [](size_type hint) {
     // Run time proportional to size_hint (1us per unit): the honest
     // size-hint-to-seconds relationship the adaptive model learns.
@@ -221,19 +179,16 @@ TEST(ServeQos, AdaptivePolicyShedsSlowJobFloodThatStaticDefaultsAdmit) {
   std::vector<BatchExecutor::Job> flood(12, sleep_job(20000));  // ~20ms each
 
   {
-    BatchExecutor default_knobs(parent, {});  // all QosPolicy knobs at defaults
-    for (const JobResult& result : default_knobs.run_jobs(flood))
-      EXPECT_EQ(result.outcome, JobOutcome::ok) << "static defaults admit everything";
+    BatchExecutor default_options(parent, {});
+    for (const JobResult& result : default_options.run_jobs(flood))
+      EXPECT_EQ(result.outcome, JobOutcome::ok) << "default options admit everything";
   }
 
-  BatchOptions options;
-  options.num_slots = 2;  // flood pressure: 12 pending jobs >> 2 slots
-  options.qos.adaptive = true;
-  BatchExecutor batch(parent, options);
+  BatchExecutor batch(parent, {.adaptive_shedding = true});
 
   // Teach the model what normal looks like: ~200us jobs, comfortably past
-  // adaptive_min_samples.  A cold adaptive executor must admit everything.
-  std::vector<BatchExecutor::Job> warm(24, sleep_job(200));
+  // kAdaptiveMinSamples.  A cold adaptive executor must admit everything.
+  std::vector<BatchExecutor::Job> warm(BatchExecutor::kAdaptiveMinSamples + 8, sleep_job(200));
   for (const JobResult& result : batch.run_jobs(warm))
     EXPECT_EQ(result.outcome, JobOutcome::ok) << "the model learns, it must not pre-shed";
 
@@ -262,18 +217,18 @@ TEST(ServeQos, AdaptivePolicyShedsSlowJobFloodThatStaticDefaultsAdmit) {
 
 TEST(ServeQos, BatchExecutorReusableAfterShedding) {
   // A batch that shed everything leaves the slots warm and admissible: the
-  // next batch (budget off) runs normally on the same executor.
+  // next batch (no budget) runs normally on the same executor.
   const exec::Executor parent;
-  BatchOptions options;
-  options.qos.batch_budget = 1ns;
-  BatchExecutor strict(parent, options);
+  BatchExecutor batch(parent, {});
   const spatial::PointSet points = data::gaussian_blobs(300, 2, 3, 0.05, 0.1, 31);
+  const exec::CancellationToken budget = exec::CancellationToken::after(1ns);
   std::vector<BatchExecutor::Job> jobs(2, hdbscan_job(points));
-  for (const JobResult& result : strict.run_jobs(jobs))
+  for (BatchExecutor::Job& job : jobs) job.cancellation = &budget;
+  for (const JobResult& result : batch.run_jobs(jobs))
     EXPECT_EQ(result.outcome, JobOutcome::shed);
 
-  BatchExecutor relaxed(parent, {});
-  for (const JobResult& result : relaxed.run_jobs(jobs))
+  for (BatchExecutor::Job& job : jobs) job.cancellation = nullptr;
+  for (const JobResult& result : batch.run_jobs(jobs))
     EXPECT_EQ(result.outcome, JobOutcome::ok);
 }
 

@@ -106,9 +106,9 @@ TEST(SnapshotServing, ReaderQueriesMatchColdRebuildAndShareTheServingCache) {
   expect_bit_identical(via_b, rebuild, snap->epoch());
 
   // Reader state restored: the reader executors left the scope with their
-  // own caches and untagged owners.
+  // own caches and no pin group.
   EXPECT_EQ(reader_a.shared_artifact_cache(), nullptr);
-  EXPECT_EQ(reader_a.cache_owner().pin_group, 0u);
+  EXPECT_EQ(reader_a.cache_pin_group(), 0u);
 }
 
 // The TSan stress test (the gcc-tsan CI entry runs this suite): N reader
@@ -260,7 +260,7 @@ TEST(SnapshotServing, SnapshotWaveUpdatesRunConcurrentlyWithQueries) {
   const std::uint64_t epoch_before = published.published_epoch();
 
   const exec::Executor parent(exec::default_backend(), 2);
-  serve::BatchExecutor batch(parent, {.num_slots = 2});
+  serve::BatchExecutor batch(parent);
 
   std::atomic<int> queries_ran{0};
   std::atomic<bool> query_pinned{false};
@@ -294,7 +294,7 @@ TEST(SnapshotServing, SnapshotWaveResultsMatchPinnedEpochRebuilds) {
   published.insert(data::gaussian_blobs(300, 2, 3, 0.04, 0.1, 23));
 
   const exec::Executor parent(exec::default_backend(), 2);
-  serve::BatchExecutor batch(parent, {.num_slots = 2});
+  serve::BatchExecutor batch(parent);
 
   constexpr int kWaves = 3;
   constexpr int kQueriesPerWave = 4;
