@@ -52,7 +52,7 @@ void BM_MergeSort(benchmark::State& state) {
   const auto base = random_keys(state.range(0));
   for (auto _ : state) {
     auto keys = base;
-    exec::merge_sort(executor, keys, std::less<>{});
+    exec::merge_sort(executor, std::span(keys), std::less<>{});
     benchmark::DoNotOptimize(keys.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -25,11 +25,9 @@ using namespace pandora;
 int main() {
   const exec::Executor parallel_executor(exec::default_backend());
   const exec::Executor serial_executor(exec::serial_backend());
-  // Construction algorithms are compared cold: the cross-call SortedEdges
-  // cache would otherwise let every repeat replay the first sort.  (The
-  // cache's own benefit is measured separately below and in fig14.)
-  parallel_executor.set_artifact_caching(false);
-  serial_executor.set_artifact_caching(false);
+  // Construction algorithms are compared cold: the plain builders cache
+  // nothing, so every repeat runs its own sort.  (Replaying a cached
+  // dendrogram is measured in fig14.)
   bench::print_header("Dendrogram construction throughput (MPoints/sec, higher is better)",
                       "Figure 11 (plus the Section 2.3.3 mixed baseline)");
   bench::JsonReport json("fig11");

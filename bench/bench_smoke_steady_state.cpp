@@ -1,16 +1,21 @@
 // CI smoke: steady-state allocation check on a small fig11-style workload.
 //
-// Builds a mutual-reachability MST for ~50k points, warms an Executor with
-// two dendrogram constructions, then asserts that the third (identical) run
-// performs ZERO heap allocations — the sorted-edges cache replays the sort,
-// the contraction/expansion run out of the workspace arena, and the output
-// Dendrogram reuses its capacity.  A second measured pass does the same on a
-// serial-backend executor with an explicit `sort_edges_into` +
-// `pandora_dendrogram_into` into reused outputs, so the edge radix sort
-// itself (which the cached pass never runs) is held to the same gate.
+// Builds mutual-reachability MSTs for ~50k points, warms an Executor with
+// two dendrogram constructions, then asserts that the third run performs
+// ZERO heap allocations and ZERO arena misses — the edge sort writes
+// straight into the output Dendrogram, its endpoints, the contraction and
+// the expansion run out of the workspace arena, and the output reuses its
+// capacity.  Three measured passes:
+//  * "pipeline": `Pipeline::build_dendrogram_into` over one MST;
+//  * "serial sort+build": the same on a serial-backend executor;
+//  * "distinct MSTs": two different MSTs of the same size, alternated on
+//    one caching executor and rotated by one edge per run, so every build
+//    is of an input no earlier call saw — a cold build is held to the same
+//    gate, and no per-input artifact may be allocated on the way.
 // Exits non-zero on any allocation, so the Release CI job fails if a
 // regression reintroduces per-call allocations.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -65,11 +70,13 @@ int main() {
   bench::print_header("Steady-state allocation smoke (fig11-style workload)",
                       "CI gate: zero heap allocations after warm-up");
 
-  const spatial::PointSet points = data::make_dataset("HaccProxy", n, 2024);
   const exec::Executor executor(exec::default_backend());
-  spatial::KdTree tree(points);
-  const graph::EdgeList mst =
-      Pipeline::on(executor).with_min_pts(2).build_mst(points, tree);
+  const auto mst_of = [&](std::uint64_t seed) {
+    const spatial::PointSet points = data::make_dataset("HaccProxy", n, seed);
+    spatial::KdTree tree(points);
+    return Pipeline::on(executor).with_min_pts(2).build_mst(points, tree);
+  };
+  const graph::EdgeList mst = mst_of(2024);
   const auto pipeline = Pipeline::on(executor);
 
   // Third of three identical runs of `run`: the first sizes the arena, the
@@ -90,26 +97,41 @@ int main() {
   };
 
   dendrogram::Dendrogram out;
-  const bool cached_ok = steady_state(
-      "cached-sort", executor, [&] { pipeline.build_dendrogram_into(mst, n, out); });
+  const bool pipeline_ok = steady_state(
+      "pipeline", executor, [&] { pipeline.build_dendrogram_into(mst, n, out); });
   if (out.num_edges != n - 1 || out.parent[0] != kNone) {
     std::printf("FAIL: dendrogram shape is wrong\n");
     return 1;
   }
 
   const exec::Executor serial(exec::serial_backend());
-  dendrogram::SortedEdges sorted;
   dendrogram::Dendrogram serial_out;
-  const bool sorting_ok = steady_state("serial sort+build", serial, [&] {
-    dendrogram::sort_edges_into(serial, mst, n, sorted);
-    dendrogram::pandora_dendrogram_into(serial, sorted, serial_out);
+  const bool serial_ok = steady_state("serial sort+build", serial, [&] {
+    dendrogram::pandora_dendrogram_into(serial, mst, n, serial_out);
   });
   if (serial_out.parent != out.parent) {
-    std::printf("FAIL: serial dendrogram differs from the cached-sort one\n");
+    std::printf("FAIL: serial dendrogram differs from the pipeline one\n");
     return 1;
   }
 
-  if (!cached_ok || !sorting_ok) {
+  // Each run also rotates both edge lists by one edge in place, so no build
+  // ever sees an input that an earlier call saw: every build is cold.
+  graph::EdgeList first = mst;
+  graph::EdgeList second = mst_of(2025);
+  dendrogram::Dendrogram first_out, second_out;
+  const bool distinct_ok = steady_state("distinct MSTs", executor, [&] {
+    for (graph::EdgeList* edges : {&first, &second})
+      std::rotate(edges->begin(), edges->begin() + 1, edges->end());
+    dendrogram::pandora_dendrogram_into(executor, first, n, first_out);
+    dendrogram::pandora_dendrogram_into(executor, second, n, second_out);
+  });
+  if (first_out.parent != dendrogram::pandora_dendrogram(serial, first, n).parent ||
+      second_out.parent != dendrogram::pandora_dendrogram(serial, second, n).parent) {
+    std::printf("FAIL: a distinct-MST dendrogram differs from a fresh serial build\n");
+    return 1;
+  }
+
+  if (!pipeline_ok || !serial_ok || !distinct_ok) {
     std::printf("FAIL: steady-state dendrogram construction must not allocate\n");
     return 1;
   }

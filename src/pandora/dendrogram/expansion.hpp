@@ -47,8 +47,8 @@ void expand_multilevel(const exec::Executor& exec, const ContractionHierarchy& h
 [[nodiscard]] Dendrogram single_level_dendrogram(const exec::Executor& exec,
                                                  const SortedEdges& sorted);
 
-/// Convenience overload that sorts internally (through the SortedEdges
-/// cache); `validate_input` as for `sort_edges`.
+/// Convenience overload that sorts internally with `sort_edges`;
+/// `validate_input` as for `sort_edges`.
 [[nodiscard]] Dendrogram single_level_dendrogram(const exec::Executor& exec,
                                                  const graph::EdgeList& mst,
                                                  index_t num_vertices,

@@ -109,9 +109,9 @@ Dendrogram mixed_dendrogram(const exec::Executor& exec, const SortedEdges& sorte
 
 Dendrogram mixed_dendrogram(const exec::Executor& exec, const graph::EdgeList& mst,
                             index_t num_vertices, double top_fraction) {
-  std::shared_ptr<const SortedEdges> sorted;
-  exec.phase("sort", [&] { sorted = sorted_edges_cached(exec, mst, num_vertices); });
-  return mixed_dendrogram(exec, *sorted, top_fraction);
+  SortedEdges sorted;
+  exec.phase("sort", [&] { sorted = sort_edges(exec, mst, num_vertices); });
+  return mixed_dendrogram(exec, sorted, top_fraction);
 }
 
 }  // namespace pandora::dendrogram

@@ -30,7 +30,7 @@ namespace pandora::dendrogram {
                                           const SortedEdges& sorted,
                                           double top_fraction = 0.1);
 
-/// Convenience overload that sorts internally.
+/// Convenience overload that sorts internally with `sort_edges`.
 [[nodiscard]] Dendrogram mixed_dendrogram(const exec::Executor& exec,
                                           const graph::EdgeList& mst, index_t num_vertices,
                                           double top_fraction = 0.1);

@@ -1,5 +1,6 @@
 #include "pandora/dendrogram/pandora.hpp"
 
+#include <algorithm>
 #include <atomic>
 
 #include "pandora/dendrogram/contraction.hpp"
@@ -10,26 +11,29 @@
 
 namespace pandora::dendrogram {
 
-void pandora_dendrogram_into(const exec::Executor& exec, const SortedEdges& sorted,
-                             Dendrogram& out) {
-  const index_t n = sorted.num_edges();
-  const index_t nv = sorted.num_vertices;
+namespace {
 
-  out.num_edges = n;
-  out.num_vertices = nv;
-  out.weight = sorted.weight;        // copy-assign: reuses capacity
-  out.edge_order = sorted.order;
-  out.parent.assign(static_cast<std::size_t>(n) + static_cast<std::size_t>(nv), kNone);
-  if (n == 0) return;  // single data point: the vertex is the root
-
-  std::span<index_t> edge_parent(out.parent.data(), static_cast<std::size_t>(n));
+/// Contraction and expansion over the sorted endpoints `u`/`v` (rank i =
+/// sorted edge i): fills `out.parent`.  `out.weight` and `out.edge_order`
+/// are the caller's.  `u` and `v` may live in `out.parent` itself: only the
+/// contraction reads them, and `out.parent` is written after it.
+void build_from_sorted(const exec::Executor& exec, std::span<const index_t> u,
+                       std::span<const index_t> v, index_t num_vertices, Dendrogram& out) {
+  const auto n = static_cast<index_t>(u.size());
+  const index_t nv = num_vertices;
 
   // The base level's global indices are the identity, so no gid iota is ever
   // materialised (the contraction reads the loop index directly).
   ContractionHierarchy hierarchy;
-  exec.phase("contraction",
-             [&] { hierarchy = build_hierarchy(exec, sorted.u, sorted.v, {}, nv, n); });
+  if (n > 0)
+    exec.phase("contraction", [&] { hierarchy = build_hierarchy(exec, u, v, {}, nv, n); });
 
+  out.num_edges = n;
+  out.num_vertices = nv;
+  out.parent.assign(static_cast<std::size_t>(n) + static_cast<std::size_t>(nv), kNone);
+  if (n == 0) return;  // single data point: the vertex is the root
+
+  std::span<index_t> edge_parent(out.parent.data(), static_cast<std::size_t>(n));
   expand_multilevel(exec, hierarchy, edge_parent);
 
   // Vertex parents by Eq. (1), straight from the base level's sided parents.
@@ -40,12 +44,34 @@ void pandora_dendrogram_into(const exec::Executor& exec, const SortedEdges& sort
   });
 }
 
+}  // namespace
+
+void pandora_dendrogram_into(const exec::Executor& exec, const SortedEdges& sorted,
+                             Dendrogram& out) {
+  out.weight = sorted.weight;  // copy-assign: reuses capacity
+  out.edge_order = sorted.order;
+  build_from_sorted(exec, sorted.u, sorted.v, sorted.num_vertices, out);
+}
+
 void pandora_dendrogram_into(const exec::Executor& exec, const graph::EdgeList& mst,
                              index_t num_vertices, Dendrogram& out, bool validate_input) {
-  std::shared_ptr<const SortedEdges> sorted;
-  exec.phase("sort",
-             [&] { sorted = sorted_edges_cached(exec, mst, num_vertices, validate_input); });
-  pandora_dendrogram_into(exec, *sorted, out);
+  // The sort writes weights and ranks straight into the output, and the
+  // endpoints into the output's parent storage (n + num_vertices >= 2n slots
+  // for a tree), which the contraction consumes before any parent is
+  // written: a cold build keeps no sorted copy of its own.
+  const std::size_t n = mst.size();
+  const auto nv = static_cast<std::size_t>(num_vertices);
+  exec.phase("sort", [&] {
+    if (validate_input) graph::validate_tree(mst, num_vertices);
+    out.weight.resize(n);
+    out.edge_order.resize(n);
+    out.parent.resize(std::max(n + nv, 2 * n));
+    const std::span<index_t> endpoints(out.parent);
+    sort_edges_into(exec, mst, endpoints.first(n), endpoints.subspan(n, n), out.weight,
+                    out.edge_order);
+  });
+  const std::span<const index_t> endpoints(out.parent);
+  build_from_sorted(exec, endpoints.first(n), endpoints.subspan(n, n), num_vertices, out);
 }
 
 Dendrogram pandora_dendrogram(const exec::Executor& exec, const SortedEdges& sorted) {
@@ -64,8 +90,9 @@ Dendrogram pandora_dendrogram(const exec::Executor& exec, const graph::EdgeList&
 namespace {
 
 /// A dendrogram artifact as stored in the Executor's ArtifactCache.  The
-/// validation flag is atomic for the same reason as CachedSortedEdges:
-/// concurrent batch queries may share the entry, and validation is monotone.
+/// validation flag is atomic because concurrent batch queries may share the
+/// entry (see the ArtifactCache locking contract): validation is monotone
+/// (false -> true), so a racy double validation is merely redundant work.
 struct CachedDendrogram {
   Dendrogram dendrogram;
   std::atomic<bool> validated{false};
@@ -81,16 +108,9 @@ std::shared_ptr<const Dendrogram> pandora_dendrogram_cached(const exec::Executor
       exec, exec::ArtifactTag::dendrogram,
       [&] { return mst_fingerprint(exec, mst, num_vertices); },
       [&] {
-        // The dendrogram carries the sort's weight and edge_order, so the
-        // sort is not cached beside it: a miss hashes the MST once and sorts.
-        SortedEdges sorted;
-        exec.phase("sort", [&] {
-          if (validate_input) graph::validate_tree(mst, num_vertices);
-          sort_edges_into(exec, mst, num_vertices, sorted);
-        });
         auto built = std::make_shared<CachedDendrogram>();
+        pandora_dendrogram_into(exec, mst, num_vertices, built->dendrogram, validate_input);
         built->validated = validate_input;
-        pandora_dendrogram_into(exec, sorted, built->dendrogram);
         return built;
       });
   if (validate_input && !entry->validated) {  // a hit first built unvalidated

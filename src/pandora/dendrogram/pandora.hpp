@@ -13,11 +13,14 @@ namespace pandora::dendrogram {
 /// (Algorithm 3).  Work-optimal (O(n log n), Section 4) and expressed
 /// entirely in parallel loops, scans and sorts.
 ///
-/// The MST overloads run the initial sort through the cross-call SortedEdges
-/// cache (see sorted_edges_cached), so repeated queries against one MST sort
-/// once; the `_into` variants additionally reuse the output Dendrogram's
-/// storage — a second identical call on a warm Executor performs no heap
-/// allocation at all.
+/// The MST overloads sort with `sort_edges_into` straight into the output's
+/// `weight` and `edge_order`, with the sorted endpoints parked in its
+/// `parent` storage until the contraction has read them; they neither hash
+/// the MST nor touch the ArtifactCache (a caller that
+/// repeats an MST replays the whole dendrogram through
+/// `pandora_dendrogram_cached`).  The `_into` variants also reuse the output
+/// Dendrogram's storage — a second call on a warm Executor, over the same
+/// MST or another of the same size, performs no heap allocation at all.
 ///
 /// Phases timed through `Executor::phase`: "sort" (initial edge sort +
 /// chain radix sort), "contraction" (multilevel tree contraction),
@@ -50,9 +53,8 @@ void pandora_dendrogram_into(const exec::Executor& exec, const SortedEdges& sort
 /// replay: the contraction-hierarchy construction and expansion run once, and
 /// every later query only re-condenses the tree (min_cluster_size does not
 /// enter the key because it does not enter the dendrogram).  A mutated MST
-/// derives a different key and misses.  A miss hashes the MST once and sorts
-/// inside the "sort" phase: the entry carries the sort's weight and
-/// edge_order, so no SortedEdges entry is cached beside it.  With
+/// derives a different key and misses.  A miss hashes the MST once and runs
+/// the `pandora_dendrogram_into` build into the new entry.  With
 /// `Executor::set_artifact_caching(false)` every call rebuilds.
 [[nodiscard]] std::shared_ptr<const Dendrogram> pandora_dendrogram_cached(
     const exec::Executor& exec, const graph::EdgeList& mst, index_t num_vertices,

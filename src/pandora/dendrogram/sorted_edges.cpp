@@ -1,7 +1,6 @@
 #include "pandora/dendrogram/sorted_edges.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "pandora/common/expect.hpp"
@@ -114,7 +113,7 @@ std::uint32_t low_key_of(const graph::EdgeList& edges, std::uint64_t packed_entr
 /// The degenerate-prefix fallback: a stable merge argsort under the explicit
 /// descending-(weight, id) comparator.
 void merge_argsort(const exec::Executor& exec, const graph::EdgeList& edges,
-                   std::vector<index_t>& order) {
+                   std::span<index_t> order) {
   const size_type n = static_cast<size_type>(edges.size());
   exec::parallel_for(exec, n,
                      [&](size_type i) { order[static_cast<std::size_t>(i)] =
@@ -127,44 +126,39 @@ void merge_argsort(const exec::Executor& exec, const graph::EdgeList& edges,
   });
 }
 
-/// A sorted-edges artifact plus its validation state, as stored in the
-/// Executor's ArtifactCache.  The flag is atomic because cached artifacts may
-/// be shared by concurrent batch queries (see the ArtifactCache locking
-/// contract): validation is monotone (false -> true), so a racy double
-/// validation is merely redundant work.
-struct CachedSortedEdges {
-  SortedEdges sorted;
-  std::atomic<bool> validated{false};
-};
-
 }  // namespace
 
 void sort_edges_into(const exec::Executor& exec, const graph::EdgeList& edges,
-                     index_t num_vertices, SortedEdges& out) {
+                     std::span<index_t> u, std::span<index_t> v, std::span<double> weight,
+                     std::span<index_t> order) {
   const size_type n = static_cast<size_type>(edges.size());
-  out.num_vertices = num_vertices;
-  out.u.resize(static_cast<std::size_t>(n));
-  out.v.resize(static_cast<std::size_t>(n));
-  out.weight.resize(static_cast<std::size_t>(n));
-  out.order.resize(static_cast<std::size_t>(n));
+  PANDORA_EXPECT(u.size() == edges.size() && v.size() == edges.size() &&
+                     weight.size() == edges.size() && order.size() == edges.size(),
+                 "sort_edges_into needs one output slot per edge");
 
-  if (!radix_argsort(exec, edges, out.order)) merge_argsort(exec, edges, out.order);
+  if (!radix_argsort(exec, edges, order)) merge_argsort(exec, edges, order);
 
   // Gather endpoints and weights once from the permutation (never sort
   // structs: the sort moved 8-byte words only).
   exec::parallel_for(exec, n, [&](size_type i) {
-    const auto& e = edges[static_cast<std::size_t>(out.order[static_cast<std::size_t>(i)])];
-    out.u[static_cast<std::size_t>(i)] = e.u;
-    out.v[static_cast<std::size_t>(i)] = e.v;
-    out.weight[static_cast<std::size_t>(i)] = e.weight;
+    const auto& e = edges[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])];
+    u[static_cast<std::size_t>(i)] = e.u;
+    v[static_cast<std::size_t>(i)] = e.v;
+    weight[static_cast<std::size_t>(i)] = e.weight;
   });
 }
 
 SortedEdges sort_edges(const exec::Executor& exec, const graph::EdgeList& edges,
                        index_t num_vertices, bool validate_input) {
   if (validate_input) graph::validate_tree(edges, num_vertices);
+  const std::size_t n = edges.size();
   SortedEdges sorted;
-  sort_edges_into(exec, edges, num_vertices, sorted);
+  sorted.num_vertices = num_vertices;
+  sorted.u.resize(n);
+  sorted.v.resize(n);
+  sorted.weight.resize(n);
+  sorted.order.resize(n);
+  sort_edges_into(exec, edges, sorted.u, sorted.v, sorted.weight, sorted.order);
   return sorted;
 }
 
@@ -272,28 +266,6 @@ std::uint64_t mst_fingerprint(const exec::Executor& exec, const graph::EdgeList&
   return mix_fingerprint(
       body ^ mix_fingerprint(static_cast<std::uint64_t>(n)) ^
       mix_fingerprint(~static_cast<std::uint64_t>(static_cast<std::uint32_t>(num_vertices))));
-}
-
-std::shared_ptr<const SortedEdges> sorted_edges_cached(const exec::Executor& exec,
-                                                       const graph::EdgeList& edges,
-                                                       index_t num_vertices,
-                                                       bool validate_input) {
-  std::shared_ptr<CachedSortedEdges> entry = exec::cached_artifact<CachedSortedEdges>(
-      exec, exec::ArtifactTag::sorted_edges,
-      [&] { return mst_fingerprint(exec, edges, num_vertices); },
-      [&] {
-        if (validate_input) graph::validate_tree(edges, num_vertices);
-        auto built = std::make_shared<CachedSortedEdges>();
-        built->validated = validate_input;
-        sort_edges_into(exec, edges, num_vertices, built->sorted);
-        return built;
-      });
-  if (validate_input && !entry->validated) {  // a hit first built unvalidated
-    graph::validate_tree(edges, num_vertices);
-    entry->validated = true;
-  }
-  const SortedEdges* view = &entry->sorted;
-  return {std::move(entry), view};
 }
 
 }  // namespace pandora::dendrogram

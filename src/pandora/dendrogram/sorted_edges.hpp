@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -26,9 +25,14 @@ struct SortedEdges {
   [[nodiscard]] index_t num_edges() const { return static_cast<index_t>(u.size()); }
 };
 
-/// Sorts `edges` descending by (weight, original index).  When
-/// `validate_input` is set, rejects inputs that are not spanning trees with
-/// finite non-negative weights.
+/// The one edge sort of the library: writes the canonical descending-(weight,
+/// original index) order of `edges` straight into caller-owned spans, each of
+/// size `edges.size()` — `u[i]`, `v[i]` and `weight[i]` of sorted edge i and
+/// `order[i]`, its original index.  `pandora_dendrogram_into` points all
+/// four into its output Dendrogram (`u`/`v` into the not yet written
+/// `parent` storage), so a cold build sorts into its result with no
+/// intermediate copy, and a second call on a warm Executor performs no heap
+/// allocation.  Does not validate.
 ///
 /// The sort packs the high 32 bits of the order-preserving (sign-flipped,
 /// inverted) weight key with the edge id into one 64-bit word and radix-sorts
@@ -39,13 +43,15 @@ struct SortedEdges {
 /// below the 32-bit prefix.  When the prefixes separate almost nothing (most
 /// of the array would need repair), the input itself selects a stable
 /// comparison merge argsort instead; both paths produce bit-identical output.
+void sort_edges_into(const exec::Executor& exec, const graph::EdgeList& edges,
+                     std::span<index_t> u, std::span<index_t> v, std::span<double> weight,
+                     std::span<index_t> order);
+
+/// `sort_edges_into` as a fresh SortedEdges.  When `validate_input` is set,
+/// rejects inputs that are not spanning trees with finite non-negative
+/// weights.
 [[nodiscard]] SortedEdges sort_edges(const exec::Executor& exec, const graph::EdgeList& edges,
                                      index_t num_vertices, bool validate_input = false);
-
-/// As sort_edges, but reusing `out`'s storage: a second identical call on a
-/// warm Executor performs no heap allocation.  Does not validate.
-void sort_edges_into(const exec::Executor& exec, const graph::EdgeList& edges,
-                     index_t num_vertices, SortedEdges& out);
 
 /// Derives the canonical SortedEdges of an *updated* edge list from the
 /// sorted run of its predecessor, without re-sorting the bulk: survivors of
@@ -72,20 +78,10 @@ void merge_sorted_edges_delta(const exec::Executor& exec, const SortedEdges& bas
                               SortedEdges& out);
 
 /// Order-sensitive 64-bit fingerprint of an MST (endpoints, weights, edge
-/// order, vertex count) — the base key of the cross-call SortedEdges and
-/// dendrogram caches (each salted with its `exec::ArtifactTag`).
+/// order, vertex count) — the base key of the cross-call dendrogram cache
+/// (`pandora_dendrogram_cached`, salted with `exec::ArtifactTag::dendrogram`).
 [[nodiscard]] std::uint64_t mst_fingerprint(const exec::Executor& exec,
                                             const graph::EdgeList& edges,
                                             index_t num_vertices);
-
-/// The cross-call SortedEdges cache: returns the canonical sorted form of
-/// `edges`, reusing the copy stored in the Executor's ArtifactCache when the
-/// MST fingerprint matches — so repeated queries against one MST (mpts
-/// sweeps, algorithm comparisons, repeated pipeline runs) sort once and
-/// replay.  A cache hit costs one fingerprint pass and allocates nothing.
-/// With `Executor::set_artifact_caching(false)` every call sorts afresh.
-[[nodiscard]] std::shared_ptr<const SortedEdges> sorted_edges_cached(
-    const exec::Executor& exec, const graph::EdgeList& edges, index_t num_vertices,
-    bool validate_input = false);
 
 }  // namespace pandora::dendrogram

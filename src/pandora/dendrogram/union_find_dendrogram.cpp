@@ -44,10 +44,9 @@ Dendrogram union_find_dendrogram(const exec::Executor& exec, const SortedEdges& 
 
 Dendrogram union_find_dendrogram(const exec::Executor& exec, const graph::EdgeList& mst,
                                  index_t num_vertices, bool validate_input) {
-  std::shared_ptr<const SortedEdges> sorted;
-  exec.phase("sort",
-             [&] { sorted = sorted_edges_cached(exec, mst, num_vertices, validate_input); });
-  return union_find_dendrogram(exec, *sorted);
+  SortedEdges sorted;
+  exec.phase("sort", [&] { sorted = sort_edges(exec, mst, num_vertices, validate_input); });
+  return union_find_dendrogram(exec, sorted);
 }
 
 }  // namespace pandora::dendrogram

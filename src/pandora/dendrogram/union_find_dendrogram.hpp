@@ -24,7 +24,9 @@ namespace pandora::dendrogram {
 [[nodiscard]] Dendrogram union_find_dendrogram(const exec::Executor& exec,
                                                const SortedEdges& sorted);
 
-/// Convenience overload that sorts internally.
+/// Convenience overload that sorts internally with `sort_edges` (a fresh
+/// sort on every call: the baseline caches nothing); `validate_input` as for
+/// `sort_edges`.
 [[nodiscard]] Dendrogram union_find_dendrogram(const exec::Executor& exec,
                                                const graph::EdgeList& mst,
                                                index_t num_vertices,

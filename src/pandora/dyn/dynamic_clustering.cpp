@@ -84,7 +84,7 @@ void DynamicClustering::replay_dendrogram() {
 void DynamicClustering::rebuild_from_scratch() {
   rebuild_index();
   edges_ = spatial::euclidean_mst(*exec_, *points_, *tree_);
-  dendrogram::sort_edges_into(*exec_, edges_, points_->size(), sorted_);
+  sorted_ = dendrogram::sort_edges(*exec_, edges_, points_->size());
   replay_dendrogram();
 }
 

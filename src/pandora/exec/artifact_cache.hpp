@@ -42,10 +42,9 @@ inline obs::Gauge& cache_pinned_metric() {
 
 /// A small fingerprint-keyed cache of derived artifacts, attached to the
 /// Executor so upper layers (dendrogram, hdbscan, spatial) can reuse
-/// expensive intermediate results — the canonical descending-weight
-/// SortedEdges of an MST, the kd-tree and per-mpts core distances of a point
-/// set, the PANDORA dendrogram replayed across `min_cluster_size` sweeps —
-/// across calls without a layering inversion.  Entries are type-erased
+/// expensive intermediate results — the kd-tree, per-mpts core distances and
+/// EMST of a point set, the PANDORA dendrogram replayed across
+/// `min_cluster_size` sweeps — across calls without a layering inversion.  Entries are type-erased
 /// shared_ptrs matched on (fingerprint, type); eviction is
 /// least-recently-used over a fixed number of slots.  Library code reaches
 /// it only through the get-or-build seam `cached_artifact` (bottom of this
@@ -59,8 +58,8 @@ inline obs::Gauge& cache_pinned_metric() {
 ///    entry is concurrently evicted; callers never hold references into the
 ///    cache itself.
 ///  * cached values are immutable after insert — readers share them without
-///    further synchronisation.  (The exceptions, the monotone validation
-///    flags of the SortedEdges and dendrogram entries, are atomics.)
+///    further synchronisation.  (The exception, the monotone validation
+///    flag of the dendrogram entries, is an atomic.)
 ///  * two threads missing on the same fingerprint may both compute and both
 ///    insert; the last insert wins and the loser's value simply dies with
 ///    its shared_ptr.  Correctness never depends on single-insertion.

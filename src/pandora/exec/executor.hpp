@@ -176,8 +176,8 @@ class Executor {
   [[nodiscard]] std::uint64_t cache_pin_group() const noexcept { return cache_pin_group_; }
   void set_cache_pin_group(std::uint64_t group) const noexcept { cache_pin_group_ = group; }
 
-  /// Whether cross-call artifact reuse (e.g. the SortedEdges cache keyed on
-  /// the MST fingerprint) is enabled.  On by default; turn off to force every
+  /// Whether cross-call artifact reuse (the `_cached` functions, e.g. the
+  /// dendrogram cache keyed on the MST fingerprint) is enabled.  On by default; turn off to force every
   /// call to recompute — benchmarks comparing construction algorithms do.
   [[nodiscard]] bool artifact_caching() const noexcept { return artifact_caching_; }
   void set_artifact_caching(bool enabled) const noexcept { artifact_caching_ = enabled; }

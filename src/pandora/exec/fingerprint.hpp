@@ -4,8 +4,8 @@
 
 /// Fingerprint arithmetic shared by every artifact-cache key in the library.
 ///
-/// Cacheable artifacts (SortedEdges, kd-trees, core distances, dendrograms)
-/// are keyed on a 64-bit fingerprint of their *inputs*: a content hash of the
+/// Cacheable artifacts (kd-trees, core distances, EMSTs, dendrograms) are
+/// keyed on a 64-bit fingerprint of their *inputs*: a content hash of the
 /// bulk data combined with every parameter that changes the artifact.  Two
 /// sweeps differing in any parameter (`min_pts`, `leaf_size`, ...) must
 /// never alias, so parameters are folded in with the full SplitMix64
@@ -36,7 +36,6 @@ namespace pandora::exec {
 
 /// Per-artifact-kind salts (arbitrary distinct odd constants).
 enum class ArtifactTag : std::uint64_t {
-  sorted_edges = 0x5045a1c3d5e7f911ULL,
   kdtree = 0x6b7d9fa1c3e5071bULL,
   core_distance = 0x7c8fab1d3f516273ULL,
   dendrogram = 0x8da1bd2f41536475ULL,

@@ -41,7 +41,7 @@ namespace detail {
 
 /// Sort `v` into `num_chunks` sorted runs, then merge pairwise in rounds.
 template <class T, class Comp>
-void parallel_merge_sort(const Executor& exec, std::vector<T>& v, Comp comp) {
+void parallel_merge_sort(const Executor& exec, std::span<T> v, Comp comp) {
   const size_type n = static_cast<size_type>(v.size());
   const int num_threads = exec.num_threads();
   // Round chunk count down to a power of two for a clean pairwise merge tree.
@@ -82,7 +82,7 @@ void parallel_merge_sort(const Executor& exec, std::vector<T>& v, Comp comp) {
 
 /// Stable comparison sort of `v` under `comp`.
 template <class T, class Comp>
-void merge_sort(const Executor& exec, std::vector<T>& v, Comp comp) {
+void merge_sort(const Executor& exec, std::span<T> v, Comp comp) {
   if (exec.num_threads() > 1) {
     detail::parallel_merge_sort(exec, v, comp);
   } else {

@@ -116,9 +116,9 @@ class Pipeline {
   [[nodiscard]] dendrogram::Dendrogram build_dendrogram(
       const dendrogram::SortedEdges& sorted) const;
 
-  /// Output-reusing dendrogram build: a second identical call on a warm
-  /// Executor (sorted-edges cache hit, arena-leased scratch,
-  /// capacity-reusing outputs) performs no heap allocation.
+  /// Output-reusing dendrogram build: a second call of the same size on a
+  /// warm Executor (arena-leased scratch, capacity-reusing outputs)
+  /// performs no heap allocation.
   void build_dendrogram_into(const graph::EdgeList& mst, index_t num_vertices,
                              dendrogram::Dendrogram& out) const;
 

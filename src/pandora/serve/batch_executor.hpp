@@ -36,8 +36,8 @@
 /// allocation guarantee holds per slot: a warm batch of same-shaped queries
 /// leases every scratch buffer from recycled blocks.  All slots share the
 /// parent executor's `ArtifactCache` (thread-safe by its locking contract),
-/// so artifacts computed by any query — sorted edges, kd-trees, core
-/// distances, dendrograms — replay across the whole batch.
+/// so artifacts computed by any query — kd-trees, core distances, EMSTs,
+/// dendrograms — replay across the whole batch.
 ///
 /// The serve layer is a pure job scheduler: it knows executors, not
 /// dendrograms, HDBSCAN* or snapshots.  A query is a `Job` whose closure

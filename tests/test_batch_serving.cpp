@@ -103,9 +103,8 @@ TEST(BatchExecutor, BatchedHdbscanMatchesSequential) {
 TEST(BatchExecutor, SlotArenasReachSteadyState) {
   const exec::Executor parent(exec::default_backend(), 4);
   serve::BatchExecutor batch(parent);
-  // Caching off so every batch re-sorts through the slot arenas (with it on,
-  // the second batch would hit the SortedEdges cache and lease nothing).
-  parent.set_artifact_caching(false);
+  // Plain dendrogram jobs cache nothing, so every batch sorts through the
+  // slot arenas.
 
   // Same-shaped queries: once a slot has processed one, its arena holds
   // blocks of every size class the shape needs.  The dynamic queue means a
@@ -143,19 +142,24 @@ TEST(BatchExecutor, SlotsShareTheParentArtifactCache) {
 
   const graph::EdgeList tree = make_tree(Topology::random_attach, 3000, 42, 0);
   // Warm the parent cache, then batch N identical queries: every slot must
-  // replay the parent's artifact instead of re-sorting.
-  (void)dendrogram::sorted_edges_cached(parent, tree, 3000);
+  // replay the parent's dendrogram instead of rebuilding it.
+  const auto warm = dendrogram::pandora_dendrogram_cached(parent, tree, 3000);
   const auto warm_stats = parent.artifact_cache().stats();
 
-  std::vector<dendrogram::Dendrogram> results(8);
+  std::vector<std::shared_ptr<const dendrogram::Dendrogram>> results(8);
   std::vector<serve::BatchExecutor::Job> jobs;
-  for (dendrogram::Dendrogram& out : results) jobs.push_back(dendrogram_job(tree, 3000, out));
+  for (auto& out : results)
+    jobs.push_back({[&tree, &out](const exec::Executor& slot) {
+                      out = dendrogram::pandora_dendrogram_cached(slot, tree, 3000);
+                    },
+                    /*size_hint=*/3000});
   for (const serve::JobResult& result : batch.run_jobs(jobs))
     EXPECT_EQ(result.outcome, serve::JobOutcome::ok);
   const auto stats = parent.artifact_cache().stats();
   EXPECT_GE(stats.hits - warm_stats.hits, jobs.size())
       << "all slots look up the shared cache and hit the pre-warmed artifact";
-  for (const auto& d : results) EXPECT_EQ(d.parent, results[0].parent);
+  EXPECT_EQ(stats.misses, warm_stats.misses);
+  for (const auto& d : results) EXPECT_EQ(d.get(), warm.get());
 }
 
 TEST(BatchExecutor, LargeJobsOverlapTheSmallDrain) {

@@ -101,7 +101,7 @@ TEST_P(ExecBothSpaces, MergeSortSortsAndIsStable) {
   std::vector<Item> items(static_cast<std::size_t>(n));
   for (std::size_t i = 0; i < items.size(); ++i)
     items[i] = {static_cast<int>(rng.next_below(1000)), static_cast<int>(i)};
-  exec::merge_sort(exec::default_executor(GetParam()), items, [](const Item& a, const Item& b) { return a.key < b.key; });
+  exec::merge_sort(exec::default_executor(GetParam()), std::span(items), [](const Item& a, const Item& b) { return a.key < b.key; });
   for (std::size_t i = 1; i < items.size(); ++i) {
     ASSERT_LE(items[i - 1].key, items[i].key);
     if (items[i - 1].key == items[i].key) {

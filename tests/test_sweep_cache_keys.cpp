@@ -35,12 +35,11 @@ TEST(Fingerprint, CombineSeparatesParametersAndOrder) {
       << "parameter order is part of the key";
   std::set<std::uint64_t> tagged;
   for (const exec::ArtifactTag tag :
-       {exec::ArtifactTag::sorted_edges, exec::ArtifactTag::kdtree,
-        exec::ArtifactTag::core_distance, exec::ArtifactTag::dendrogram,
-        exec::ArtifactTag::emst}) {
+       {exec::ArtifactTag::kdtree, exec::ArtifactTag::core_distance,
+        exec::ArtifactTag::dendrogram, exec::ArtifactTag::emst}) {
     tagged.insert(exec::tagged_fingerprint(tag, base));
   }
-  EXPECT_EQ(tagged.size(), 5u) << "artifact kinds never share keys even for identical inputs";
+  EXPECT_EQ(tagged.size(), 4u) << "artifact kinds never share keys even for identical inputs";
   EXPECT_EQ(tagged.count(base), 0u) << "no kind keys on the raw input fingerprint";
 }
 
@@ -164,9 +163,8 @@ TEST(DendrogramCache, KeyedOnMst) {
 }
 
 TEST(DendrogramCache, AMissLooksUpOnce) {
-  // The dendrogram entry carries the sort's weight and edge order, so a cold
-  // call hashes the MST for its own key and sorts directly: one lookup, one
-  // miss, no SortedEdges lookup beside it.
+  // A cold call hashes the MST for its own key and sorts straight into the
+  // new entry: one lookup, one miss, and no other artifact beside it.
   const exec::Executor executor(exec::serial_backend());
   const graph::EdgeList tree = make_tree(Topology::random_attach, 3000, 7, 0);
   const auto built = dendrogram::pandora_dendrogram_cached(executor, tree, 3000);

@@ -1,7 +1,7 @@
 // The acceptance property of the size-class byte arena: a second identical
 // pipeline run on a warm Executor performs ZERO heap allocations — the whole
-// hot path (cached edge sort, contraction hierarchy, expansion, output
-// vectors) runs out of recycled storage.  Verified with a replaced global
+// hot path (edge sort into the output, contraction hierarchy, expansion,
+// output vectors) runs out of recycled storage.  Verified with a replaced global
 // operator new, not just the workspace's own lease statistics.
 
 #include "alloc_counter.hpp"  // must precede everything that allocates
@@ -51,6 +51,37 @@ TEST_P(ArenaBothSpaces, SecondIdenticalPipelineRunAllocatesNothing) {
   EXPECT_EQ(out.parent, reference.parent);
   EXPECT_EQ(out.weight, reference.weight);
   EXPECT_EQ(out.edge_order, reference.edge_order);
+}
+
+TEST_P(ArenaBothSpaces, DistinctMstOfTheSameSizeAllocatesNothing) {
+  // The cold path sorts into the output Dendrogram, so a new MST of a size
+  // the executor has seen runs out of recycled storage too — on a caching
+  // executor, where nothing of either MST is stored.
+  const index_t nv = 30000;
+  const graph::EdgeList first = make_tree(Topology::preferential, nv, 3, 0);
+  const graph::EdgeList second = make_tree(Topology::preferential, nv, 4, 0);
+  const exec::Executor executor(GetParam(), 4);
+  ASSERT_TRUE(executor.artifact_caching());
+
+  dendrogram::Dendrogram out;
+  dendrogram::pandora_dendrogram_into(executor, first, nv, out);  // warm-up: sizes the arena
+  dendrogram::pandora_dendrogram_into(executor, first, nv, out);  // settles OpenMP team state
+
+  executor.workspace().reset_stats();
+  {
+    const AllocationCounterScope scope;
+    dendrogram::pandora_dendrogram_into(executor, second, nv, out);
+    EXPECT_EQ(scope.count(), 0u) << "a cold build of a same-sized MST must not touch the heap";
+  }
+  EXPECT_EQ(executor.workspace().stats().misses, 0u);
+  const exec::ArtifactCache::Stats cache = executor.artifact_cache().stats();
+  EXPECT_EQ(cache.hits + cache.misses, 0u) << "the plain path neither looks up nor inserts";
+
+  const exec::Executor fresh(exec::serial_backend());
+  const dendrogram::Dendrogram expected = dendrogram::pandora_dendrogram(fresh, second, nv);
+  EXPECT_EQ(out.parent, expected.parent);
+  EXPECT_EQ(out.weight, expected.weight);
+  EXPECT_EQ(out.edge_order, expected.edge_order);
 }
 
 TEST(Arena, LargerQueryAfterSmallerGrowsAndStaysCorrect) {
